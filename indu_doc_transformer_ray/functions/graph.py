@@ -4414,8 +4414,10 @@ def effective_diameter(sf_dir: str) -> "object":
     )
 
 
+# nf is MATERIALIZED: DuckDB inlines a plain CTE at each of its six reads, and
+# the inlined HyperBall replays exhaust memory even at sf0.001.
 EFFECTIVE_DIAMETER_SQL = f"""
-WITH nf AS ({HYPERBALL_NF_SQL}
+WITH nf AS MATERIALIZED ({HYPERBALL_NF_SQL}
 ), lastr AS (
   SELECT MAX(round) AS mr FROM nf
 ), tgt AS (
