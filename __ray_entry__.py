@@ -104,20 +104,12 @@ def _extract_object_stats(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from indu_doc_transformer_ray.deltas import US
     from indu_doc_transformer_ray.pipelines.extract import (
         _bucketize,
         _explode_deltas,
+        _tag_table_name,
         extract_corpus_cached,
     )
-
-    _KIND_TO_TABLE = {
-        "xtarget": "xtargets", "aspect": "aspects", "attribute": "attributes",
-        "link": "links", "connection": "connections", "pin": "pins",
-        "xtarget_attr": "object_attrs", "aspect_attr": "object_attrs",
-        "link_attr": "object_attrs",
-        "page_object": "page_objects", "error": "errors",
-    }
 
     def partials(batch: pa.Table) -> pa.Table:
         # batch-combined deltas keyed into the merge's GUID buckets, plus
@@ -162,26 +154,11 @@ def _extract_object_stats(sf_dir: str):
                 .aggregate([("n", "sum")])
             )
             return g.rename_columns(["kind", "n"])
-        uniq = pc.unique(t.column("mkey").combine_chunks())
-        kind0 = pc.list_element(
-            pc.split_pattern(uniq, US, max_splits=1), 0
-        )
-        enc = pc.dictionary_encode(
-            kind0.combine_chunks()
-            if isinstance(kind0, pa.ChunkedArray)
-            else kind0
-        )
-        mapped = pa.array(
-            [_KIND_TO_TABLE[v] for v in enc.dictionary.to_pylist()],
-            pa.string(),
-        )
-        kinds = pc.cast(
-            pa.DictionaryArray.from_arrays(enc.indices, mapped), pa.string()
-        )
+        uniq = pa.table({"mkey": pc.unique(t.column("mkey").combine_chunks())})
         g = (
-            pa.table({"kind": kinds, "n": pa.array([1] * len(uniq), pa.int64())})
-            .group_by("kind")
-            .aggregate([("n", "sum")])
+            _tag_table_name(uniq)
+            .group_by("table_name")
+            .aggregate([("mkey", "count")])
         )
         return g.rename_columns(["kind", "n"])
 

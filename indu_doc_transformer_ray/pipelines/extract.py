@@ -3,7 +3,7 @@
     read (parquet/lance docs table)
       -> map_batches(DocumentExtractor, actor pool)   # classify+footer+tables+emit
            ├─ span path:  select(doc_id, spans_out)   # per-doc, shuffle-free
-           └─ delta path: explode -> local combine -> groupby(mkey).aggregate(Max)
+           └─ delta path: explode + max fold -> GUID bucket -> max fold per bucket
                           -> decode -> normalized object tables
 
 Design points for 100 TB (SURVEY.md §3.4/§4):
@@ -13,12 +13,13 @@ Design points for 100 TB (SURVEY.md §3.4/§4):
   parallel and never shuffles.  Per-page compute is micro-scale (dozens of
   cells), so document skew is bounded by pages/doc; small ``batch_size``
   plus Ray's dynamic block splitting absorbs the multi-hundred-page tail.
-- The ONLY all-to-all exchange is the object merge, and it is a single
-  ``groupby(mkey).aggregate(Max(payload))`` over pre-combined deltas —
-  md5-derived keys are uniform by construction, so no skew/salting needed
-  (SURVEY.md §7.4).
+- The ONLY cross-document step is the object merge: deltas are routed to
+  one of 256 buckets by the first ``BUCKET_CHARS`` hex chars of their
+  embedded GUID, and each bucket is reduced by the same max-per-``mkey`` fold
+  (``_max_fold``) that pre-combines every batch — md5-derived keys are
+  uniform by construction, so no skew/salting needed (SURVEY.md §7.4).
 - The actor pool holds the warm state (parsed config, compiled separator
-  regex, page-spec index) built once per actor in ``__init__``.
+  regex, page-spec index, cross-document memos) built once per actor.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from ..deltas import (
 from ..emit import process_document
 from ..fixtures import SPAN_STRUCT
 from ..spandoc import US, Span
-from ..store import ExtractionStore
+from ..store import ExtractionStore, StoreMemo
 
 DELTA_STRUCT = pa.struct([("mkey", pa.string()), ("payload", pa.string())])
 PAGE_OBJECT_STRUCT = pa.struct(
@@ -101,14 +102,8 @@ class DocumentExtractor:
             else default_config
         )
         # cross-document caches shared by every per-doc store this actor
-        # creates (pure-function results only); bounded by the distinct
-        # values the actor sees — cleared past a safety cap per batch
-        self.attr_memo: dict = {}
-        self.merge_memo: dict = {}
-        self.footer_memo: dict = {}
-        self.parse_memo: dict = {}  # aspect_str -> (sep, value, guid)
-        self.parts_memo: dict = {}  # tag string -> parsed parts
-        self.guid_memo: dict = {}   # final tag -> xtarget GUID
+        # creates (pure-function results only); bounded once per batch
+        self.memo = StoreMemo()
         if page_settings_json:
             # register JSON page-spec overrides IN THIS WORKER PROCESS (the
             # driver's module state does not propagate to Ray actors); only
@@ -134,12 +129,7 @@ class DocumentExtractor:
             )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # memory-safety cap: an adversarial corpus with unbounded distinct
-        # attrs/tags would otherwise grow the actor memos without limit
-        for memo in (self.attr_memo, self.merge_memo, self.footer_memo,
-                     self.parse_memo, self.parts_memo, self.guid_memo):
-            if len(memo) > 1_000_000:
-                memo.clear()
+        self.memo.bound()
         doc_ids = batch.column("doc_id").to_pylist()
         # flat-column decode: four plain-list conversions + offset slicing
         # beat list<struct>.to_pylist's per-span dict materialization
@@ -178,12 +168,7 @@ class DocumentExtractor:
 
         for i, doc_id in enumerate(doc_ids):
             a, b = in_offsets[i], in_offsets[i + 1]
-            store = ExtractionStore(
-                self.config, attr_memo=self.attr_memo,
-                merge_memo=self.merge_memo, footer_memo=self.footer_memo,
-                parse_memo=self.parse_memo, parts_memo=self.parts_memo,
-                guid_memo=self.guid_memo,
-            )
+            store = ExtractionStore(self.config, self.memo)
             spans = [
                 Span(k, t, r, o)
                 for k, t, r, o in zip(
@@ -300,95 +285,45 @@ def extract_documents(
     )
 
 
+#: merge bucket width: the first 2 hex chars of the embedded GUID, 256
+#: buckets.  Fixed: bucket dirs that survive a crash and the ones a re-run
+#: rebuilds must agree on it.  A width derived from the corpus would have
+#: to be recorded in the shard manifests and the merge fingerprint.
+BUCKET_CHARS = 2
+
+
+def _max_fold(t: pa.Table) -> pa.Table:
+    """The merge kernel: max(payload) per mkey (God-merge semantics, see
+    deltas.py for the per-kind proof), one vectorized Arrow group_by.  It
+    is associative, so it serves as the per-batch combine, the per-task
+    combine and the per-bucket fold alike."""
+    merged = t.group_by("mkey").aggregate([("payload", "max")])
+    return merged.rename_columns(["mkey", "payload"])
+
+
 def _explode_deltas(batch: pa.Table) -> pa.Table:
     """Flatten per-doc delta lists and pre-combine within the batch (the
     partial-aggregate push-down before the shuffle) — all in vectorized
     Arrow kernels, no Python per row."""
     flat = pc.list_flatten(batch.column("deltas").combine_chunks())
-    t = pa.Table.from_arrays(
+    return _max_fold(pa.Table.from_arrays(
         [flat.field("mkey"), flat.field("payload")], ["mkey", "payload"]
-    )
-    combined = t.group_by("mkey").aggregate([("payload", "max")])
-    return combined.rename_columns(["mkey", "payload"])
+    ))
 
 
-def _bucketize(batch: pa.Table, chars: int = 2) -> pa.Table:
-    """Merge bucket from the first hex chars of the embedded GUID (uniform
-    by construction): 1 char = 16 buckets, 2 = 256.  Bucket count trades
-    files-per-partition against per-bucket fold memory — raise it with
-    corpus size (each bucket must fit one fold task)."""
+def _bucketize(batch: pa.Table) -> pa.Table:
+    """Merge bucket from the first ``BUCKET_CHARS`` hex chars of the
+    embedded GUID (uniform by construction)."""
     guid_part = pc.list_element(
         pc.split_pattern(batch.column("mkey"), US, max_splits=1), 1
     )
-    bucket = pc.utf8_slice_codeunits(guid_part, 0, chars)
+    bucket = pc.utf8_slice_codeunits(guid_part, 0, BUCKET_CHARS)
     return batch.append_column("bucket", bucket)
 
 
-def _merge_bucket(group: pa.Table) -> pa.Table:
-    merged = group.group_by("mkey").aggregate([("payload", "max")])
-    return merged.rename_columns(["mkey", "payload"])
-
-
-def _fold_bucket_table(t: pa.Table) -> pa.Table:
-    """One bucket's combined deltas -> merged rows tagged with table names."""
-    merged = t.group_by("mkey").aggregate([("payload", "max")])
-    merged = merged.rename_columns(["mkey", "payload"])
-    return _tag_table_name(merged)
-
-
-import ray as _ray
-
-
-def _read_bucket_dirs(dirs: "str | list[str]") -> pa.Table:
-    """One bucket's combined deltas, possibly spread over several per-shard
-    partition dirs (runner._write_shard_delta_buckets layout)."""
-    import pyarrow.dataset as pads
-
-    if isinstance(dirs, str):
-        dirs = [dirs]
-    parts = [
-        pads.dataset(d).to_table(columns=["mkey", "payload"]) for d in dirs
-    ]
-    return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
-
-
-@_ray.remote
-def _fold_bucket(bucket_dirs, dest_file: str) -> int:
-    """Fold one delta bucket into its merged objects file (vectorized Arrow
-    group_by; the bucket is the unit of merge parallelism)."""
-    import pyarrow.parquet as pq
-
-    from .runner import PQ_WRITE_KW
-
-    out = _fold_bucket_table(_read_bucket_dirs(bucket_dirs))
-    pq.write_table(out, dest_file, **PQ_WRITE_KW)
-    return out.num_rows
-
-
-@_ray.remote
-def _fold_bucket_group(pairs: list) -> int:
-    """Fold SEVERAL (bucket_dirs, dest_file) pairs in one task: buckets stay
-    the unit of merge correctness/resume, but one Ray task per bucket makes
-    the fold phase dispatch-bound when bucket count >> CPUs (256 tasks of
-    ~50ms each serialize under a degraded scheduler).  Grouping keeps
-    task count ~2x CPUs with identical outputs."""
-    import pyarrow.parquet as pq
-
-    from .runner import PQ_WRITE_KW
-
-    total = 0
-    for bucket_dirs, dest_file in pairs:
-        out = _fold_bucket_table(_read_bucket_dirs(bucket_dirs))
-        pq.write_table(out, dest_file, **PQ_WRITE_KW)
-        total += out.num_rows
-    return total
-
-
 def merge_deltas(extracted: Dataset) -> Dataset:
-    """In-memory merge path (tests / small runs): exact God-merge semantics
-    as max-per-key (see deltas.py for the per-kind proof) over a coarse
-    bucket exchange with a vectorized Arrow group_by inside each bucket.
-    Output: (mkey, payload).
+    """In-memory merge path (tests / small runs): the max fold over a
+    coarse bucket exchange.  Output: (mkey, payload).
 
     The production path avoids even this exchange: the runner writes deltas
     hash-partitioned by bucket at checkpoint time (a map-side partitioned
@@ -400,7 +335,7 @@ def merge_deltas(extracted: Dataset) -> Dataset:
     return (
         flat.map_batches(_bucketize, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(_merge_bucket, batch_format="pyarrow")
+        .map_groups(_max_fold, batch_format="pyarrow")
     )
 
 
@@ -434,16 +369,6 @@ def _tag_table_name(batch: pa.Table) -> pa.Table:
         pa.DictionaryArray.from_arrays(enc.indices, mapped), pa.string()
     )
     return batch.append_column("table_name", table_name)
-
-
-def merged_object_rows(extracted: Dataset) -> Dataset:
-    """Merged deltas tagged with their table name: (table_name, mkey,
-    payload).  Written once, partitioned by table_name; per-table decode
-    (deltas.assemble_rows) is deferred to the consumer so the headline merge
-    path stays fully vectorized."""
-    return merge_deltas(extracted).map_batches(
-        _tag_table_name, batch_format="pyarrow"
-    )
 
 
 def _json_rows(payload: pa.Array) -> pa.Table:

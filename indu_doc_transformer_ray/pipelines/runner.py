@@ -28,6 +28,7 @@ import shutil
 import time
 from dataclasses import dataclass
 
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
@@ -35,7 +36,15 @@ import ray.data
 from ray.data import Dataset
 
 from ..core import AspectConfig, default_config
-from .extract import extract_documents
+from .extract import (
+    _bucketize,
+    _explode_deltas,
+    _max_fold,
+    _tag_table_name,
+    decode_object_batch,
+    extract_documents,
+    flatten_local_rows,
+)
 
 
 #: checkpoint / delta-bucket / objects write codec: zstd-1 halves the bytes
@@ -112,20 +121,14 @@ def _shard_bucket_dir(out_dir: str, shard: int) -> str:
 
 
 @ray.remote
-def _bucket_task(
-    files: list[str], btmp: str, n_bucket_chars: int, task_id: int
-) -> None:
+def _bucket_task(files: list[str], btmp: str, task_id: int) -> None:
     """Explode + combine one group of checkpoint files and write the result
     partitioned by the GUID-derived bucket — a single sort-then-slice pass
     (NOT 256 filter scans), one file per (task, touched bucket)."""
-    from .extract import _bucketize, _explode_deltas
-
-    parts = []
-    for f in files:
-        t = pq.read_table(f, columns=["deltas"])
-        parts.append(_explode_deltas(t))
-    combined = _explode_deltas_combined(parts)
-    combined = _bucketize(combined, chars=n_bucket_chars).sort_by("bucket")
+    combined = _max_fold(pa.concat_tables([
+        _explode_deltas(pq.read_table(f, columns=["deltas"])) for f in files
+    ]))
+    combined = _bucketize(combined).sort_by("bucket")
     vc = combined.column("bucket").combine_chunks().value_counts()
     offset = 0
     for i in range(len(vc)):
@@ -140,18 +143,32 @@ def _bucket_task(
         )
 
 
-def _explode_deltas_combined(parts: list):
-    """Concat pre-exploded (mkey, payload) tables and combine once more."""
-    import pyarrow as pa
+def _read_bucket_dirs(dirs: list[str]) -> pa.Table:
+    """One bucket's combined deltas, spread over one partition dir per
+    shard (``_write_shard_delta_buckets`` layout)."""
+    import pyarrow.dataset as pads
 
-    t = parts[0] if len(parts) == 1 else pa.concat_tables(parts)
-    merged = t.group_by("mkey").aggregate([("payload", "max")])
-    return merged.rename_columns(["mkey", "payload"])
+    return pa.concat_tables([
+        pads.dataset(d).to_table(columns=["mkey", "payload"]) for d in dirs
+    ])
 
 
-def _write_shard_delta_buckets(
-    out_dir: str, shard: int, n_bucket_chars: int = 2
-) -> None:
+@ray.remote
+def _fold_bucket_group(pairs: list) -> int:
+    """Fold SEVERAL (bucket_dirs, dest_file) pairs in one task: buckets stay
+    the unit of merge correctness/resume, but one Ray task per bucket makes
+    the fold phase dispatch-bound when bucket count >> CPUs (256 tasks of
+    ~50ms each serialize under a degraded scheduler).  Grouping keeps
+    task count ~2x CPUs with identical outputs."""
+    total = 0
+    for bucket_dirs, dest_file in pairs:
+        out = _tag_table_name(_max_fold(_read_bucket_dirs(bucket_dirs)))
+        pq.write_table(out, dest_file, **PQ_WRITE_KW)
+        total += out.num_rows
+    return total
+
+
+def _write_shard_delta_buckets(out_dir: str, shard: int) -> None:
     """Merge phase 2a, PER SHARD: read only the just-written checkpoint's
     ``deltas`` column, explode + combine (vectorized Arrow group_by max),
     write hash-partitioned by the GUID-derived bucket.  Runs inside
@@ -182,7 +199,7 @@ def _write_shard_delta_buckets(
     nb = min(len(files), max(2, ncpu // 8)) or 1
     groups = [files[i::nb] for i in range(nb)]
     ray.get([
-        _bucket_task.remote(g, btmp, n_bucket_chars, i)
+        _bucket_task.remote(g, btmp, i)
         for i, g in enumerate(groups)
         if g
     ])
@@ -222,6 +239,16 @@ def run_extraction(
 
     import ray
 
+    # one CPU cannot hold both an extraction actor and the read that feeds
+    # it: the shard would wait forever, so refuse before touching out_dir
+    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    if ncpu < 2:
+        raise RuntimeError(
+            f"run_extraction needs at least 2 CPUs in the Ray session, got "
+            f"{ncpu}: the extraction actor would hold the only CPU and the "
+            f"read that feeds it would never be scheduled"
+        )
+
     files = _list_input_files(input_path)
     if not files:
         raise FileNotFoundError(f"no parquet inputs under {input_path}")
@@ -254,7 +281,6 @@ def run_extraction(
     # concurrent pipelines, each with a fixed pool of ncpu/C - 1 actors, so
     # actors occupy (C-1)/C of the box and every pipeline keeps one free CPU
     # for its read/write tasks.
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     max_concurrent_shards = min(max_concurrent_shards, max(1, ncpu // 4))
     if concurrency is None:
         concurrency = max(1, ncpu // max_concurrent_shards - 1)
@@ -402,7 +428,7 @@ def _shard_fingerprint(out_dir: str) -> str:
     return hashlib.md5("\n".join(parts).encode()).hexdigest()
 
 
-def run_merge(out_dir: str, n_bucket_chars: int = 2) -> dict:
+def run_merge(out_dir: str) -> dict:
     """Phase 2: the object merge WITHOUT an all-to-all shuffle.
 
     2a. Map-side partitioning happens PER SHARD during extraction
@@ -413,12 +439,10 @@ def run_merge(out_dir: str, n_bucket_chars: int = 2) -> dict:
         regenerate shards whose bucket dir is missing (crash between the
         checkpoint commit and the bucket commit, or a pre-refactor layout).
     2b. Per-bucket fold: each bucket B is read ACROSS shard dirs by one Ray
-        task that runs a single vectorized group_by(max), tags table names,
-        and writes its objects file.  Buckets are uniform (md5 prefix), so
-        no skew; bucket count (16^n_bucket_chars) scales with corpus size
-        so one bucket fits a fold task — default 256 buckets keeps every
-        core of a 32-CPU node busy through the fold; push to 3-4 chars on
-        a real cluster.
+        task that runs the same max fold, tags table names, and writes its
+        objects file.  Buckets are uniform (md5 prefix), so no skew; the
+        width is fixed at 256 buckets (``extract.BUCKET_CHARS``), which
+        keeps every core of a 32-CPU node busy through the fold.
 
     Doc-scoped page_objects/errors stay as checkpoint columns: already
     persisted columnar + sharded, consumers flatten them lazily
@@ -449,7 +473,7 @@ def run_merge(out_dir: str, n_bucket_chars: int = 2) -> dict:
         if f.startswith("shard-") and f.endswith(".json")
     )
     for k in shard_ids:
-        _write_shard_delta_buckets(out_dir, k, n_bucket_chars)
+        _write_shard_delta_buckets(out_dir, k)
 
     # 2b: independent per-bucket folds across shard dirs (raw tasks: a
     # deterministic partitioned fold the Dataset API has no shuffle-free
@@ -478,8 +502,6 @@ def run_merge(out_dir: str, n_bucket_chars: int = 2) -> dict:
     ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     n_tasks = min(len(pairs), max(1, ncpu * 2))
     groups = [pairs[i::n_tasks] for i in range(n_tasks)]
-    from .extract import _fold_bucket_group
-
     futures = [_fold_bucket_group.remote(g) for g in groups if g]
     ray.get(futures)  # each fold is independent; a failed run just re-runs
     os.rename(tmp_dir, obj_dir)
@@ -524,10 +546,6 @@ def object_table(out_dir: str, name: str) -> Dataset:
     """One normalized object table: doc-scoped tables flatten lazily from
     the checkpoint columns; merged kinds decode from a predicate-pushdown
     read of the merged objects."""
-    import pyarrow.compute as _pc
-
-    from .extract import decode_object_batch, flatten_local_rows
-
     if name in ("page_objects", "errors"):
         src = ray.data.read_parquet(
             os.path.join(out_dir, "extracted"), columns=[name]
@@ -536,7 +554,7 @@ def object_table(out_dir: str, name: str) -> Dataset:
     rows_ds = ray.data.read_parquet(
         os.path.join(out_dir, "objects"),
         columns=["table_name", "mkey", "payload"],
-        filter=(_pc.field("table_name") == name),
+        filter=(pc.field("table_name") == name),
     )
     return rows_ds.select_columns(["mkey", "payload"]).map_batches(
         decode_object_batch, batch_format="pyarrow"

@@ -5,7 +5,7 @@ This is the engine's equivalent of the reference's central store/factory
 
 - In the Ray pipeline, ONE store instance lives per document inside the
   emission stage; its contents are flushed to object-delta rows and the
-  cross-document merge happens as a ``groupby((kind, guid))`` shuffle
+  cross-document merge is a max-per-key fold over GUID buckets
   (SURVEY.md §2.4 G10: the global groupby IS the merge).
 - In the single-process oracle, ONE store instance accumulates every
   document sequentially, like the reference's ``sub_god``.
@@ -105,25 +105,48 @@ class PageCtx:
     footer: Optional[PageFooter]
 
 
+class StoreMemo:
+    """Cross-document memos shared by every per-document store one actor
+    creates.  Every entry is a pure function of its key (and the actor's
+    fixed config), so sharing never changes an output; only the per-doc
+    registration side effects stay in each store."""
+
+    #: entries past which a memo is cleared: an adversarial corpus with
+    #: unbounded distinct attrs/tags must not grow an actor without limit
+    CAP = 1_000_000
+
+    def __init__(self):
+        # (name, value) / ("__loc__", page_no, bbox) -> (guid, value_json)
+        self.attr: dict[tuple, tuple[str, str]] = {}
+        # (raw tag_str, footer tags) -> final merged tag string
+        self.merge: dict[tuple, str] = {}
+        # footer tags -> parsed footer_tag_parts
+        self.footer: dict[tuple, dict] = {}
+        # successful aspect parses: aspect_str -> (sep, value, guid)
+        self.parse: dict[str, tuple[str, str, str]] = {}
+        # final tag string -> parsed parts
+        self.parts: dict[str, dict[str, tuple[str, ...]]] = {}
+        # final tag string -> xtarget GUID
+        self.guid: dict[str, str] = {}
+
+    def bound(self) -> None:
+        """Clear every memo that has grown past ``CAP``."""
+        for memo in (self.attr, self.merge, self.footer, self.parse,
+                     self.parts, self.guid):
+            if len(memo) > self.CAP:
+                memo.clear()
+
+
 class ExtractionStore:
     """Create/dedup/merge factory for all extracted object kinds."""
 
-    def __init__(
-        self,
-        config: AspectConfig,
-        attr_memo: Optional[dict] = None,
-        merge_memo: Optional[dict] = None,
-        footer_memo: Optional[dict] = None,
-        parse_memo: Optional[dict] = None,
-        parts_memo: Optional[dict] = None,
-        guid_memo: Optional[dict] = None,
-    ):
+    def __init__(self, config: AspectConfig, memo: Optional[StoreMemo] = None):
         self.config = config
-        # optional CROSS-DOCUMENT memos shared by the owning actor — all
-        # pure-function results ((name,value)->attr, (tag,footer)->merged
-        # tag, footer->parsed parts): fresh per-doc stores re-derive the
-        # same few hundred entries for every document otherwise
-        self._attr_memo = attr_memo
+        # cross-document memos (a fresh set unless the owning actor shares
+        # one): fresh per-doc stores would otherwise re-derive the same few
+        # hundred entries for every document
+        memo = memo if memo is not None else StoreMemo()
+        self._attr_memo = memo.attr
         self.pattern = core.compile_separator_pattern(config)
         self.attributes: dict[str, AttrRec] = {}
         self.aspects: dict[str, AspectRec] = {}
@@ -132,35 +155,20 @@ class ExtractionStore:
         self.links: dict[str, LinkRec] = {}
         self.pins: dict[str, PinRec] = {}
         self.tag_cache: dict[str, dict[str, tuple[str, ...]]] = {}
-        # (raw tag_str, footer tags) -> final merged tag string; the footer
-        # merge re-parses several strings, and identical raw tags under the
-        # same footer recur constantly within a document
-        self._merge_cache: dict[tuple, str] = (
-            merge_memo if merge_memo is not None else {}
-        )
-        # footer tuple -> parsed footer_tag_parts (each merge-cache MISS
-        # would otherwise re-parse every footer tag string)
-        self._footer_cache: dict[tuple, dict] = (
-            footer_memo if footer_memo is not None else {}
-        )
-        # successful aspect parses: aspect_str -> (sep, value, guid); failures
-        # are NOT cached because each failing call must emit its page error
-        # (mirroring the reference's re-parse per call, god.py:302-340).
-        # Shareable across documents (pure function of the string + config).
-        self._aspect_parse_cache: dict[str, tuple[str, str, str]] = (
-            parse_memo if parse_memo is not None else {}
-        )
-        # final tag string -> parsed parts (pure function; shareable across
-        # documents).  Per-DOC registration side effects (aspect records,
-        # invalid-tag errors) are still gated by the per-doc ``tag_cache``.
-        self._parts_memo: dict[str, dict[str, tuple[str, ...]]] = (
-            parts_memo if parts_memo is not None else {}
-        )
-        # final tag string -> xtarget GUID (pure md5; shareable) — every
-        # xtarget() call on a repeated tag otherwise re-hashes
-        self._guid_memo: dict[str, str] = (
-            guid_memo if guid_memo is not None else {}
-        )
+        # identical raw tags under the same footer recur constantly within a
+        # document; the footer merge re-parses several strings per miss
+        self._merge_cache = memo.merge
+        # each merge-cache MISS would otherwise re-parse every footer tag
+        self._footer_cache = memo.footer
+        # failures are NOT cached because each failing call must emit its
+        # page error (mirroring the reference's re-parse per call,
+        # god.py:302-340)
+        self._aspect_parse_cache = memo.parse
+        # per-DOC registration side effects (aspect records, invalid-tag
+        # errors) are still gated by the per-doc ``tag_cache``
+        self._parts_memo = memo.parts
+        # every xtarget() call on a repeated tag otherwise re-hashes
+        self._guid_memo = memo.guid
         # ordered log of page<->object mapping calls; drives both the
         # page_objects edge table and the per-page emitted "object" spans
         self.mapping_log: list[tuple[str, int, str, str]] = []
@@ -201,23 +209,20 @@ class ExtractionStore:
         return existing
 
     def simple_attr(self, name: str, value: str) -> AttrRec:
-        memo = self._attr_memo
-        if memo is not None:
-            hit = memo.get((name, value))
-            if hit is not None:
-                guid, vj = hit
-                existing = self.attributes.get(guid)
-                if existing is not None:
-                    return existing
-                rec = AttrRec(guid, "SimpleAttribute", name, vj)
-                self.attributes[guid] = rec
-                return rec
+        hit = self._attr_memo.get((name, value))
+        if hit is not None:
+            guid, vj = hit
+            existing = self.attributes.get(guid)
+            if existing is not None:
+                return existing
+            rec = AttrRec(guid, "SimpleAttribute", name, vj)
+            self.attributes[guid] = rec
+            return rec
         rec = self._attr(
             core.simple_attr_guid(name, value),
             "SimpleAttribute", name, {"name": name, "value": value},
         )
-        if memo is not None:
-            memo[(name, value)] = (rec.guid, rec.value_json)
+        self._attr_memo[(name, value)] = (rec.guid, rec.value_json)
         return rec
 
     def routing_attr(self, name: str, tracks_str: str, sep: str = ";") -> AttrRec:
@@ -241,25 +246,22 @@ class ExtractionStore:
         # both the GUID md5 and the canonical-JSON payload are pure
         # functions of the key.  The "__loc__" sentinel keys cannot
         # collide with simple_attr's (name, value) string pairs.
-        memo = self._attr_memo
-        if memo is not None:
-            mkey = ("__loc__", page_no, bbox)
-            hit = memo.get(mkey)
-            if hit is not None:
-                guid, vj = hit
-                existing = self.attributes.get(guid)
-                if existing is not None:
-                    return existing
-                rec = AttrRec(guid, "PDFLocationAttribute", "location", vj)
-                self.attributes[guid] = rec
-                return rec
+        mkey = ("__loc__", page_no, bbox)
+        hit = self._attr_memo.get(mkey)
+        if hit is not None:
+            guid, vj = hit
+            existing = self.attributes.get(guid)
+            if existing is not None:
+                return existing
+            rec = AttrRec(guid, "PDFLocationAttribute", "location", vj)
+            self.attributes[guid] = rec
+            return rec
         rec = self._attr(
             core.pdf_location_guid("location", page_no, bbox),
             "PDFLocationAttribute", "location",
             {"name": "location", "bbox": list(bbox), "page_no": page_no},
         )
-        if memo is not None:
-            memo[mkey] = (rec.guid, rec.value_json)
+        self._attr_memo[mkey] = (rec.guid, rec.value_json)
         return rec
 
     # -- aspects (god.py:302-340) ------------------------------------------

@@ -128,6 +128,8 @@ def test_merge_fold_survives_mid_fold_kill(ray_session, tmp_path):
     """
     import shutil
 
+    import pyarrow.dataset as pads
+
     from indu_doc_transformer_ray.fixtures import corpus_table
     from indu_doc_transformer_ray.pipelines.runner import (
         run_extraction,
@@ -146,8 +148,6 @@ def test_merge_fold_survives_mid_fold_kill(ray_session, tmp_path):
     man = os.path.join(out_dir, "manifests", "merge.json")
 
     def snapshot():
-        import pyarrow.dataset as pads
-
         t = pads.dataset(obj_dir).to_table()
         cols = sorted(t.column_names)
         rows = sorted(
@@ -196,3 +196,7 @@ def test_merge_fold_survives_mid_fold_kill(ray_session, tmp_path):
         shutil.rmtree(os.path.join(btmp, b))
     run_merge(out_dir)
     assert snapshot() == reference
+    # the rebuilt shard's buckets and the surviving shard's share one
+    # width, so no mkey lands in two objects files
+    mkeys = pads.dataset(obj_dir).to_table(columns=["mkey"]).column("mkey")
+    assert len(mkeys) == len(pc.unique(mkeys))

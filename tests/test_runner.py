@@ -179,3 +179,63 @@ def test_shard_count_invariance(corpus_dir, tmp_path):
                             for c in ("table_name", "mkey", "payload")]))
 
     assert merged_rows(out_a) == merged_rows(out_b)
+
+    # the per-shard bucket-file merge and the in-memory Dataset merge are
+    # two execution shapes of one fold: they must produce the same objects
+    from indu_doc_transformer_ray.pipelines.extract import (
+        extract_documents,
+        merge_deltas,
+    )
+
+    in_memory = merge_deltas(
+        extract_documents(ray.data.read_parquet(corpus_dir))
+    ).take_all()
+    assert sorted((m, p) for _t, m, p in merged_rows(out_a)) == sorted(
+        (r["mkey"], r["payload"]) for r in in_memory
+    )
+
+
+def test_run_extraction_refuses_single_cpu(tmp_path):
+    """At one CPU the extraction actor would hold the only CPU and the read
+    feeding it would never run: run_extraction must fail at once instead of
+    hanging.  Runs in its own Ray session."""
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    import pyarrow.parquet as pq
+
+    inp = str(tmp_path / "docs.parquet")
+    pq.write_table(corpus_table(4, seed=3), inp)
+    script = textwrap.dedent(f"""
+        import time
+        import ray
+        from indu_doc_transformer_ray.pipelines.runner import run_extraction
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        t0 = time.monotonic()
+        try:
+            run_extraction({inp!r}, {str(tmp_path / "out")!r}, shards=1)
+        except RuntimeError as e:
+            print("REFUSED", round(time.monotonic() - t0, 3), e)
+        ray.shutdown()
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    # own process group: a hang is killed together with its Ray processes
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env, cwd=root,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+    line = next((ln for ln in out.splitlines() if ln.startswith("REFUSED")), "")
+    assert line, out + err
+    assert float(line.split()[1]) < 5.0
+    assert "at least 2 CPUs" in line
+    assert not os.path.exists(tmp_path / "out")
