@@ -334,34 +334,29 @@ def host_calibration() -> dict:
     """Absolute single-core reference numbers emitted with every bench JSON:
     the guest's delivered CPU swings >2x between rounds (shared host), so
     cross-round comparisons must normalize by these, not by wall clock.
-    ``ms_per_doc`` = the pure-Python single-process extraction semantics on
-    a fixed 100-doc corpus (BASELINE.md's microbenchmark; 7.2 ms/doc when
-    round-1/2 records were measured)."""
+    ``calib_v1_s`` = seconds for one pass of ``perfbench.calib.calibrate_v1``,
+    a frozen pure-Python str/dict/md5 loop that imports nothing from the
+    engine, so it moves only with the host, never with the code under
+    test."""
     import time as _t
+
+    from perfbench.calib import calibrate_v1
 
     n = 0
     t0 = _t.time()
     while _t.time() - t0 < 2.0:
         n += 1
     busy_m_iters_per_s = round(n / 2.0 / 1e6, 2)
-
-    from indu_doc_transformer_ray.fixtures import corpus_table
-    from indu_doc_transformer_ray.oracle import run_oracle
-
-    t = corpus_table(100, seed=7)
-    run_oracle(t.slice(0, 10))  # warm imports/caches
-    t0 = _t.time()
-    run_oracle(t)
-    ms_per_doc = round((_t.time() - t0) / 100 * 1000, 2)
+    calib_v1_s = round(calibrate_v1(), 4)
     # multi-core delivery: a calm single-core probe can coexist with
     # throttled MULTI-core delivery (measured 2026-08-18: q7 38 s vs 9.5 s
-    # same-day at near-identical ms_per_doc); the 8-process aggregate
-    # exposes that mode.  parallel8_of_serial ~8x busy_m_iters_per_s when
-    # the host delivers; <<8x flags a starved window.
+    # same-day at near-identical single-core figures); the 8-process
+    # aggregate exposes that mode.  parallel8_of_serial ~8x
+    # busy_m_iters_per_s when the host delivers; <<8x flags a starved window.
     agg8 = cpu_probe(8, seconds=2.0)
     return {
         "busy_m_iters_per_s": busy_m_iters_per_s,
-        "ms_per_doc_single_core": ms_per_doc,
+        "calib_v1_s": calib_v1_s,
         "parallel8_of_serial": round(agg8 / max(busy_m_iters_per_s, 1e-9), 2),
     }
 

@@ -24,13 +24,16 @@ merge rule:
                                                            canonical collision rule
     connection     connection␟guid                         json — identical per key
     pin            pin␟guid                                json — identical per key
-    page_object    page_object␟doc␟page␟kind␟guid          "" — presence (set dedup)
-    error          error␟doc␟page␟sev␟md5(msg)             json — identical per key
 
 (␟ is the unit separator \\x1f.)  Attribute membership is normalized into
 its own rows (``*_attr``) instead of being embedded in object payloads —
 this is what makes the shuffle a pure Min/Max exchange with no per-group
 Python, the thing a ``map_groups`` merge would cost at 10^12-doc scale.
+Doc-scoped rows (page_objects, errors) are no delta kind: their keys embed
+the doc_id, so they never collide across documents and bypass the merge as
+checkpoint columns.
+
+``TABLE_SCHEMAS`` is the one declaration of the nine output tables.
 """
 
 from __future__ import annotations
@@ -39,8 +42,59 @@ import json
 from json.encoder import encode_basestring_ascii as _esc
 from typing import Any, Iterable
 
+import pyarrow as pa
+
 from .spandoc import US
 from .store import ExtractionStore, TYPE_PRIORITY, canonical_json
+
+
+def _strings(*names: str) -> list[tuple[str, pa.DataType]]:
+    return [(n, pa.string()) for n in names]
+
+
+#: the nine normalized output tables: columns, order and types.  Merged
+#: tables take their key columns from the mkey and the rest from the
+#: payload; page_objects/errors are the checkpoint's doc-scoped structs.
+TABLE_SCHEMAS: dict[str, pa.Schema] = {
+    "xtargets": pa.schema(_strings("guid", "tag_str", "target_type")),
+    "connections": pa.schema(
+        _strings("guid", "src_guid", "dst_guid", "through_guid")
+    ),
+    "links": pa.schema(_strings(
+        "guid", "name", "connection_guid", "src_pin_name", "dst_pin_name"
+    )),
+    "pins": pa.schema(
+        _strings("guid", "name", "role")
+        + [("chain", pa.list_(pa.string()))]
+        + _strings("link_guid")
+    ),
+    "aspects": pa.schema(_strings("guid", "separator", "value")),
+    "attributes": pa.schema(_strings("guid", "attr_type", "name", "value_json")),
+    "object_attrs": pa.schema(_strings("owner_kind", "owner_guid", "attr_guid")),
+    "page_objects": pa.schema(
+        _strings("doc_id") + [("page_no", pa.int32())]
+        + _strings("object_kind", "object_guid")
+    ),
+    "errors": pa.schema(
+        _strings("doc_id") + [("page_no", pa.int32())]
+        + _strings("severity", "message")
+    ),
+}
+
+TABLE_NAMES = tuple(TABLE_SCHEMAS)
+
+#: delta kind (mkey prefix) -> output table name
+KIND_TO_TABLE = {
+    "xtarget": "xtargets",
+    "xtarget_attr": "object_attrs",
+    "aspect_attr": "object_attrs",
+    "link_attr": "object_attrs",
+    "aspect": "aspects",
+    "attribute": "attributes",
+    "link": "links",
+    "connection": "connections",
+    "pin": "pins",
+}
 
 # ``_esc`` is CPython's C string escaper (the one json.dumps uses with its
 # default ensure_ascii=True); the hand-assembled payloads below are
@@ -51,9 +105,8 @@ from .store import ExtractionStore, TYPE_PRIORITY, canonical_json
 
 def store_to_deltas(store: ExtractionStore) -> list[tuple[str, str]]:
     """Flush a (per-document) store into merge-ready delta pairs for the
-    GLOBALLY-merged kinds.  Doc-scoped rows (page_objects, errors) never
-    collide across documents — their keys embed the doc_id — so they bypass
-    the shuffle entirely (``store_to_local_rows``)."""
+    GLOBALLY-merged kinds; doc-scoped rows bypass the shuffle entirely
+    (``store_to_local_tuples``)."""
     out: list[tuple[str, str]] = []
     add = out.append
 
@@ -133,22 +186,6 @@ def store_to_local_tuples(
     return page_objects, errors
 
 
-def store_to_local_rows(
-    store: ExtractionStore,
-) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    """Dict-shaped view of ``store_to_local_tuples`` (test/oracle paths)."""
-    pobjs, errs = store_to_local_tuples(store)
-    page_objects = [
-        {"doc_id": d, "page_no": p, "object_kind": k, "object_guid": g}
-        for d, p, k, g in pobjs
-    ]
-    errors = [
-        {"doc_id": d, "page_no": p, "severity": s, "message": m}
-        for d, p, s, m in errs
-    ]
-    return page_objects, errors
-
-
 def local_combine(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
     """Pre-shuffle combiner: max-payload per key within a batch.  Applying
     this before the groupby collapses cross-document duplicates early (the
@@ -161,16 +198,11 @@ def local_combine(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
     return acc
 
 
-# Final normalized table names produced by the merge.
-TABLE_NAMES = (
-    "xtargets", "connections", "links", "pins", "aspects", "attributes",
-    "object_attrs", "page_objects", "errors",
-)
-
-
 def assemble_rows(mkey: str, payload: str) -> tuple[str, dict[str, Any]]:
     """Decode one merged ``(mkey, max_payload)`` pair into its normalized
-    output-table row.  Returns ``(table_name, row)``."""
+    output-table row.  Returns ``(table_name, row)``.  The per-row
+    reference for the columnar production decoder
+    (``pipelines.extract.decode_object_batch``)."""
     parts = mkey.split(US)
     kind = parts[0]
     if kind == "xtarget":
@@ -204,34 +236,19 @@ def assemble_rows(mkey: str, payload: str) -> tuple[str, dict[str, Any]]:
     if kind == "pin":
         d = json.loads(payload)
         return "pins", {"guid": parts[1], **d}
-    if kind == "page_object":
-        return "page_objects", {
-            "doc_id": parts[1], "page_no": int(parts[2]),
-            "object_kind": parts[3], "object_guid": parts[4],
-        }
-    if kind == "error":
-        d = json.loads(payload)
-        return "errors", d
     raise ValueError(f"unknown delta kind: {kind}")
 
 
-def assemble_tables(
-    merged: Iterable[tuple[str, str]]
-) -> dict[str, list[dict[str, Any]]]:
-    """Group merged pairs into normalized table rows (driver-side/test-size
-    convenience; the Ray pipeline does the same decode inside map_batches)."""
+def oracle_tables(store: ExtractionStore) -> dict[str, list[dict[str, Any]]]:
+    """Normalized golden tables from a (global, single-process) store:
+    merged kinds through ``assemble_rows``, doc-scoped rows from
+    ``store_to_local_tuples``."""
     out: dict[str, list[dict[str, Any]]] = {n: [] for n in TABLE_NAMES}
-    for k, v in merged:
+    for k, v in sorted(local_combine(store_to_deltas(store)).items()):
         name, row = assemble_rows(k, v)
         out[name].append(row)
-    return out
-
-
-def oracle_tables(store: ExtractionStore) -> dict[str, list[dict[str, Any]]]:
-    """Normalized golden tables from a (global, single-process) store."""
-    merged = sorted(local_combine(store_to_deltas(store)).items())
-    out = assemble_tables(merged)
-    page_objects, errors = store_to_local_rows(store)
-    out["page_objects"] = page_objects
-    out["errors"] = errors
+    local = store_to_local_tuples(store)
+    for name, rows in zip(("page_objects", "errors"), local):
+        cols = TABLE_SCHEMAS[name].names
+        out[name] = [dict(zip(cols, r)) for r in rows]
     return out

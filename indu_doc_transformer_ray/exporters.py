@@ -27,7 +27,7 @@ from typing import Any
 
 from . import core
 from .core import AspectConfig, default_config, tag_parts
-from .deltas import TABLE_NAMES
+from .deltas import TABLE_NAMES, TABLE_SCHEMAS
 
 Tables = dict[str, list[dict[str, Any]]]
 
@@ -52,15 +52,7 @@ _DDL = {
 }
 
 _COLS = {
-    "xtargets": ["guid", "tag_str", "target_type"],
-    "connections": ["guid", "src_guid", "dst_guid", "through_guid"],
-    "links": ["guid", "name", "connection_guid", "src_pin_name", "dst_pin_name"],
-    "pins": ["guid", "name", "role", "chain", "link_guid"],
-    "aspects": ["guid", "separator", "value"],
-    "attributes": ["guid", "attr_type", "name", "value_json"],
-    "object_attrs": ["owner_kind", "owner_guid", "attr_guid"],
-    "page_objects": ["doc_id", "page_no", "object_kind", "object_guid"],
-    "errors": ["doc_id", "page_no", "severity", "message"],
+    **{name: schema.names for name, schema in TABLE_SCHEMAS.items()},
     "xtarget_aspects": ["xtarget_guid", "aspect_guid", "sort_order"],
 }
 

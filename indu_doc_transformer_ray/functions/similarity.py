@@ -2238,77 +2238,86 @@ def pq_topk(sf_dir: str) -> "object":
 
 
 # -- graph analytics facade ---------------------------------------------------
-# The graph family lives in functions/graph.py (round-4 split); re-export
-# every public name here so the registry and existing imports are stable.
-from .graph import (  # noqa: E402,F401
-    BFS_HOPS_SQL,
-    BFS_ROUNDS,
-    BFS_SEED_MOD,
-    COMMON_NEIGHBORS_SQL,
-    RESOURCE_ALLOCATION_SQL,
-    KCORE_ROUNDS,
-    KCORE_SQL,
-    KNN_GRAPH_SQL,
-    KNN_LABEL_ACCURACY_SQL,
-    LABEL_PROPAGATION_SQL,
-    LP_ROUNDS,
-    LP_SEED_MOD,
-    MUTUAL_KNN_PAIRS_SQL,
-    NEIGHBOR_JACCARD_SQL,
-    CLUSTERING_COEFF_SQL,
-    WL_COLORS_SQL,
-    PAGERANK_DRIVER_EDGE_BUDGET,
-    PAGERANK_KNN_SQL,
-    PAGERANK_MASS,
-    TRIANGLE_COUNT_SQL,
-    KTRUSS_K,
-    KTRUSS_ROUNDS,
-    KTRUSS_SQL,
-    TRANSITIVITY_SQL,
-    LABEL_HOMOPHILY_SQL,
-    KNN_RECIPROCITY_SQL,
-    KNN_DEGREE_HIST_SQL,
-    VEC_DUP_CLUSTERS_SQL,
-    HITS_SCORES_SQL,
-    HYPERBALL_NF_SQL,
-    EFFECTIVE_DIAMETER_SQL,
-    BFS_PATH_COUNTS_SQL,
-    HARMONIC_CENTRALITY_SQL,
-    BOWTIE_CLASSES_SQL,
-    DEGREE_ASSORTATIVITY_SQL,
-    RICH_CLUB_SQL,
-    LP_MODULARITY_SQL,
-    PPR_SEEDS_SQL,
-    bfs_hops,
-    ktruss_edges,
-    transitivity_global,
-    label_homophily,
-    knn_reciprocity,
-    knn_degree_hist,
-    hits_scores,
-    hyperball_nf,
-    effective_diameter,
-    bfs_path_counts,
-    harmonic_centrality_topk,
-    bowtie_classes,
-    degree_assortativity,
-    lp_modularity,
-    rich_club,
-    ppr_seeds,
-    common_neighbors_topk,
-    resource_allocation_topk,
-    kcore_decompose,
-    knn_graph,
-    knn_label_accuracy,
-    label_propagation,
-    mutual_knn_pairs,
-    neighbor_jaccard_topk,
-    clustering_coeff_topk,
-    wl_colors,
-    pagerank_knn,
-    triangle_count,
-    vec_dup_clusters,
-)
+# The graph family lives in functions/graph.py (round-4 split).  graph.py
+# imports this module at its top, so the re-export is lazy (PEP 562): an
+# eager ``from .graph import ...`` here breaks ``import graph`` done first.
+_GRAPH_NAMES = frozenset((
+    "BFS_HOPS_SQL",
+    "BFS_ROUNDS",
+    "BFS_SEED_MOD",
+    "COMMON_NEIGHBORS_SQL",
+    "RESOURCE_ALLOCATION_SQL",
+    "KCORE_ROUNDS",
+    "KCORE_SQL",
+    "KNN_GRAPH_SQL",
+    "KNN_LABEL_ACCURACY_SQL",
+    "LABEL_PROPAGATION_SQL",
+    "LP_ROUNDS",
+    "LP_SEED_MOD",
+    "MUTUAL_KNN_PAIRS_SQL",
+    "NEIGHBOR_JACCARD_SQL",
+    "CLUSTERING_COEFF_SQL",
+    "WL_COLORS_SQL",
+    "PAGERANK_DRIVER_EDGE_BUDGET",
+    "PAGERANK_KNN_SQL",
+    "PAGERANK_MASS",
+    "TRIANGLE_COUNT_SQL",
+    "KTRUSS_K",
+    "KTRUSS_ROUNDS",
+    "KTRUSS_SQL",
+    "TRANSITIVITY_SQL",
+    "LABEL_HOMOPHILY_SQL",
+    "KNN_RECIPROCITY_SQL",
+    "KNN_DEGREE_HIST_SQL",
+    "VEC_DUP_CLUSTERS_SQL",
+    "HITS_SCORES_SQL",
+    "HYPERBALL_NF_SQL",
+    "EFFECTIVE_DIAMETER_SQL",
+    "BFS_PATH_COUNTS_SQL",
+    "HARMONIC_CENTRALITY_SQL",
+    "BOWTIE_CLASSES_SQL",
+    "DEGREE_ASSORTATIVITY_SQL",
+    "RICH_CLUB_SQL",
+    "LP_MODULARITY_SQL",
+    "PPR_SEEDS_SQL",
+    "bfs_hops",
+    "ktruss_edges",
+    "transitivity_global",
+    "label_homophily",
+    "knn_reciprocity",
+    "knn_degree_hist",
+    "hits_scores",
+    "hyperball_nf",
+    "effective_diameter",
+    "bfs_path_counts",
+    "harmonic_centrality_topk",
+    "bowtie_classes",
+    "degree_assortativity",
+    "lp_modularity",
+    "rich_club",
+    "ppr_seeds",
+    "common_neighbors_topk",
+    "resource_allocation_topk",
+    "kcore_decompose",
+    "knn_graph",
+    "knn_label_accuracy",
+    "label_propagation",
+    "mutual_knn_pairs",
+    "neighbor_jaccard_topk",
+    "clustering_coeff_topk",
+    "wl_colors",
+    "pagerank_knn",
+    "triangle_count",
+    "vec_dup_clusters",
+))
+
+
+def __getattr__(name: str):
+    if name in _GRAPH_NAMES:
+        from . import graph
+
+        return getattr(graph, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- 1-D grid DBSCAN over the PCA axis -----------------------------------------

@@ -19,6 +19,7 @@ from typing import Any
 import pyarrow as pa
 
 from .core import AspectConfig, default_config
+from .deltas import oracle_tables
 from .emit import process_document
 from .spandoc import Span
 from .store import ExtractionStore
@@ -30,8 +31,8 @@ def run_oracle(
     """Process every document sequentially.
 
     Returns ``(spans_out, object_tables)`` where ``spans_out`` maps
-    ``doc_id`` to the list of output span dicts and ``object_tables`` is the
-    dict of canonical object-table rows from the global store.
+    ``doc_id`` to the list of output span dicts and ``object_tables`` is
+    ``deltas.oracle_tables`` of the global store.
     """
     store = ExtractionStore(config)
     spans_out: dict[str, list[dict]] = {}
@@ -51,4 +52,4 @@ def run_oracle(
             }
             for s in out
         ]
-    return spans_out, store.to_tables()
+    return spans_out, oracle_tables(store)

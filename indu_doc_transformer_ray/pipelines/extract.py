@@ -28,14 +28,16 @@ from typing import Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.json as pajson
 
 import ray.data
 from ray.data import Dataset
 
 from ..core import AspectConfig, default_config
 from ..deltas import (
+    KIND_TO_TABLE,
     TABLE_NAMES,
-    assemble_rows,
+    TABLE_SCHEMAS,
     store_to_deltas,
     store_to_local_tuples,
 )
@@ -45,22 +47,8 @@ from ..spandoc import US, Span
 from ..store import ExtractionStore, StoreMemo
 
 DELTA_STRUCT = pa.struct([("mkey", pa.string()), ("payload", pa.string())])
-PAGE_OBJECT_STRUCT = pa.struct(
-    [
-        ("doc_id", pa.string()),
-        ("page_no", pa.int32()),
-        ("object_kind", pa.string()),
-        ("object_guid", pa.string()),
-    ]
-)
-ERROR_STRUCT = pa.struct(
-    [
-        ("doc_id", pa.string()),
-        ("page_no", pa.int32()),
-        ("severity", pa.string()),
-        ("message", pa.string()),
-    ]
-)
+PAGE_OBJECT_STRUCT = pa.struct(TABLE_SCHEMAS["page_objects"])
+ERROR_STRUCT = pa.struct(TABLE_SCHEMAS["errors"])
 
 EXTRACTED_SCHEMA = pa.schema(
     [
@@ -75,6 +63,15 @@ EXTRACTED_SCHEMA = pa.schema(
         ("n_page_objects", pa.int32()),
     ]
 )
+
+
+def session_cpus() -> int:
+    """Logical CPUs of the current Ray session (8 when none is running)."""
+    import ray
+
+    if not ray.is_initialized():
+        return 8
+    return int(ray.cluster_resources().get("CPU", 8))
 
 
 class DocumentExtractor:
@@ -272,10 +269,7 @@ def extract_documents(
     session CPU count so the stage can use the node without starving the
     read/merge stages."""
     if concurrency is None:
-        import ray
-
-        n = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = (1, max(2, n))
+        concurrency = (1, max(2, session_cpus()))
     return docs.map_batches(
         DocumentExtractor,
         batch_format="pyarrow",
@@ -339,22 +333,6 @@ def merge_deltas(extracted: Dataset) -> Dataset:
     )
 
 
-#: delta kind (mkey prefix) -> output table name
-KIND_TO_TABLE = {
-    "xtarget": "xtargets",
-    "xtarget_attr": "object_attrs",
-    "aspect_attr": "object_attrs",
-    "link_attr": "object_attrs",
-    "aspect": "aspects",
-    "attribute": "attributes",
-    "link": "links",
-    "connection": "connections",
-    "pin": "pins",
-    "page_object": "page_objects",
-    "error": "errors",
-}
-
-
 def _tag_table_name(batch: pa.Table) -> pa.Table:
     """Attach the output-table name from the mkey prefix — dictionary-level
     mapping (a handful of distinct kinds), not per-row Python."""
@@ -371,111 +349,66 @@ def _tag_table_name(batch: pa.Table) -> pa.Table:
     return batch.append_column("table_name", table_name)
 
 
-def _json_rows(payload: pa.Array) -> pa.Table:
+def _json_rows(payload: pa.Array, schema: pa.Schema) -> pa.Table:
     """COLUMNAR JSON decode of a payload column: one C++ join into an
-    NDJSON buffer, one ``pyarrow.json.read_json`` parse — no per-row
-    Python.  Canonical payloads (json.dumps) never contain raw newlines,
-    so line-delimited framing is safe."""
-    import io
-
-    import pyarrow.json as pajson
-
-    arr = (
-        payload.combine_chunks()
-        if isinstance(payload, pa.ChunkedArray)
-        else payload
+    NDJSON buffer, one ``pyarrow.json`` parse against the declared
+    ``schema`` — no type is inferred, and a field outside it is an error.
+    Canonical payloads (json.dumps) never contain raw newlines, so
+    line-delimited framing is safe."""
+    offsets = pa.array([0, len(payload)], pa.int32())
+    la = pa.ListArray.from_arrays(offsets, payload)
+    buf = pc.binary_join(la, "\n")[0].as_buffer()
+    return pajson.read_json(
+        pa.BufferReader(buf),
+        parse_options=pajson.ParseOptions(
+            explicit_schema=schema, unexpected_field_behavior="error"
+        ),
     )
-    la = pa.ListArray.from_arrays(pa.array([0, len(arr)], pa.int32()), arr)
-    buf = pc.binary_join(la, "\n")[0].as_py().encode()
-    return pajson.read_json(io.BytesIO(buf))
-
-
-def _const_col(value: str, n: int) -> pa.Array:
-    return pa.array([value] * n, pa.string())
-
-
-def _decode_kind(kind: str, parts, payload: pa.Array) -> pa.Table:
-    """Vectorized decode of ONE delta kind's (mkey parts, payload) columns —
-    the columnar mirror of ``deltas.assemble_rows`` (kept for the
-    driver-side/test path; equality is pinned by test_runner.py)."""
-    n = len(payload)
-    p1 = pc.list_element(parts, 1)
-    if kind == "xtarget":
-        ps = pc.split_pattern(payload, US, max_splits=2)
-        return pa.table(
-            {
-                "guid": p1,
-                "tag_str": pc.list_element(ps, 2),
-                "target_type": pc.list_element(ps, 1),
-            }
-        )
-    if kind in ("xtarget_attr", "aspect_attr", "link_attr"):
-        return pa.table(
-            {
-                "owner_kind": _const_col(kind.removesuffix("_attr"), n),
-                "owner_guid": p1,
-                "attr_guid": pc.list_element(parts, 2),
-            }
-        )
-    if kind == "aspect":
-        jt = _json_rows(payload)
-        return pa.table(
-            {
-                "guid": p1,
-                "separator": jt.column("separator"),
-                "value": jt.column("value"),
-            }
-        )
-    if kind == "attribute":
-        jt = _json_rows(payload)
-        return pa.table(
-            {
-                "guid": p1,
-                "attr_type": jt.column("attr_type"),
-                "name": jt.column("name"),
-                "value_json": jt.column("value_json"),
-            }
-        )
-    if kind in ("link", "connection", "pin"):
-        jt = _json_rows(payload)
-        return pa.table(
-            {"guid": p1, **{c: jt.column(c) for c in jt.column_names}}
-        )
-    if kind == "page_object":
-        return pa.table(
-            {
-                "doc_id": p1,
-                "page_no": pc.cast(pc.list_element(parts, 2), pa.int64()),
-                "object_kind": pc.list_element(parts, 3),
-                "object_guid": pc.list_element(parts, 4),
-            }
-        )
-    if kind == "error":
-        return _json_rows(payload)
-    raise ValueError(f"unknown delta kind: {kind}")
 
 
 def decode_object_batch(batch: pa.Table) -> pa.Table:
-    """(mkey, payload) rows of ONE table -> typed rows, fully columnar:
-    split mkeys with Arrow kernels, dispatch per distinct kind (an
-    object_attrs batch carries up to three *_attr kinds; every other table
-    is single-kind), JSON payloads decode through one buffered
-    ``pyarrow.json`` parse per kind."""
+    """(mkey, payload) rows of ONE merged table -> that table's typed rows
+    (``deltas.TABLE_SCHEMAS``), in input order and fully columnar: mkeys
+    split with Arrow kernels, JSON payloads decoded by one buffered parse
+    against the table's declared payload columns.  ``deltas.assemble_rows``
+    is the per-row reference (tests/test_deltas.py pins their equality)."""
     if batch.num_rows == 0:
         return pa.table({})
     mkey = batch.column("mkey").combine_chunks()
     payload = batch.column("payload").combine_chunks()
     parts = pc.split_pattern(mkey, US)
-    kind0 = pc.list_element(parts, 0)
-    pieces = []
-    for kind in pc.unique(kind0).to_pylist():
-        mask = pc.equal(kind0, kind)
-        pieces.append(
-            _decode_kind(kind, parts.filter(mask), payload.filter(mask))
-        )
-    if len(pieces) == 1:
-        return pieces[0]
-    return pa.concat_tables(pieces, promote_options="permissive")
+    kind = pc.list_element(parts, 0)
+    names = {KIND_TO_TABLE[k] for k in pc.unique(kind).to_pylist()}
+    if len(names) != 1:
+        raise ValueError(f"one table per batch, got {sorted(names)}")
+    name = names.pop()
+    schema = TABLE_SCHEMAS[name]
+    key = pc.list_element(parts, 1)
+    if name == "object_attrs":  # everything is in the mkey
+        owner = pc.replace_substring_regex(kind, "_attr$", "")
+        cols = [owner, key, pc.list_element(parts, 2)]
+    elif name == "xtargets":  # payload "prio␟type␟tag_str"
+        ps = pc.split_pattern(payload, US, max_splits=2)
+        cols = [key, pc.list_element(ps, 2), pc.list_element(ps, 1)]
+    else:  # guid + the JSON payload's columns
+        cols = [key, *_json_rows(payload, pa.schema(list(schema)[1:])).columns]
+    return pa.Table.from_arrays(cols, schema=schema)
+
+
+def _table_rows(tagged: pa.Table, name: str) -> pa.Table:
+    """Typed rows of merged table ``name`` from (table_name, mkey, payload)
+    rows (``_tag_table_name`` output)."""
+    rows = tagged.filter(pc.equal(tagged.column("table_name"), name))
+    if rows.num_rows == 0:
+        return TABLE_SCHEMAS[name].empty_table()
+    return decode_object_batch(rows.select(["mkey", "payload"]))
+
+
+def decode_table(tagged: Dataset, name: str) -> Dataset:
+    """One merged object table as a Dataset of typed rows."""
+    return tagged.map_batches(
+        _table_rows, fn_args=(name,), batch_format="pyarrow"
+    )
 
 
 def flatten_local_rows(extracted: Dataset, column: str) -> Dataset:
@@ -499,11 +432,9 @@ def object_tables_to_pylists(extracted: Dataset) -> dict[str, list[dict]]:
     for batch in merge_deltas(extracted).iter_batches(
         batch_size=65536, batch_format="pyarrow"
     ):
-        for mkey, payload in zip(
-            batch.column("mkey").to_pylist(), batch.column("payload").to_pylist()
-        ):
-            name, row = assemble_rows(mkey, payload)
-            out[name].append(row)
+        tagged = _tag_table_name(batch)
+        for name in pc.unique(tagged.column("table_name")).to_pylist():
+            out[name].extend(_table_rows(tagged, name).to_pylist())
     for name in ("page_objects", "errors"):
         for batch in flatten_local_rows(extracted, name).iter_batches(
             batch_size=65536, batch_format="pyarrow"

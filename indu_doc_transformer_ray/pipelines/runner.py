@@ -22,6 +22,7 @@ columns of ``extracted/`` — consumers column-prune them out for free.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -41,9 +42,10 @@ from .extract import (
     _explode_deltas,
     _max_fold,
     _tag_table_name,
-    decode_object_batch,
+    decode_table,
     extract_documents,
     flatten_local_rows,
+    session_cpus,
 )
 
 
@@ -193,7 +195,7 @@ def _write_shard_delta_buckets(out_dir: str, shard: int) -> None:
         for f in os.listdir(shard_dir)
         if f.endswith(".parquet")
     )
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    ncpu = session_cpus()
     # few, larger groups per shard: files written = groups x touched
     # buckets, and 8 concurrent shards still keep ~ncpu bucket tasks live
     nb = min(len(files), max(2, ncpu // 8)) or 1
@@ -241,7 +243,7 @@ def run_extraction(
 
     # one CPU cannot hold both an extraction actor and the read that feeds
     # it: the shard would wait forever, so refuse before touching out_dir
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    ncpu = session_cpus()
     if ncpu < 2:
         raise RuntimeError(
             f"run_extraction needs at least 2 CPUs in the Ray session, got "
@@ -324,6 +326,11 @@ def run_extraction(
             ),
         )
         extracted.write_parquet(tmp_dir, **PQ_WRITE_KW)
+        # release the shard's actor pool now: the finished Dataset sits in a
+        # reference cycle and would hold its actors' CPUs until the driver's
+        # next cyclic GC, starving later shards and the merge's fold tasks
+        del ds, extracted
+        gc.collect()
         stats = _shard_stats(tmp_dir)
         os.rename(tmp_dir, shard_dir)
         # bucket this shard's deltas NOW (overlaps later shards' extraction;
@@ -499,7 +506,7 @@ def run_merge(out_dir: str) -> dict:
         pairs.append((dirs, os.path.join(tmp_dir, f"{b}.parquet")))
     # group buckets into ~2x-CPU tasks: the fold is dispatch-bound at one
     # task per bucket (256 x ~50ms dispatch serializes on a busy scheduler)
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    ncpu = session_cpus()
     n_tasks = min(len(pairs), max(1, ncpu * 2))
     groups = [pairs[i::n_tasks] for i in range(n_tasks)]
     futures = [_fold_bucket_group.remote(g) for g in groups if g]
@@ -556,6 +563,4 @@ def object_table(out_dir: str, name: str) -> Dataset:
         columns=["table_name", "mkey", "payload"],
         filter=(pc.field("table_name") == name),
     )
-    return rows_ds.select_columns(["mkey", "payload"]).map_batches(
-        decode_object_batch, batch_format="pyarrow"
-    )
+    return decode_table(rows_ds, name)

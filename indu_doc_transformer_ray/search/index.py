@@ -470,18 +470,17 @@ def search_targets_count(sf_dir: str) -> "object":
     distributed extraction -> delta merge -> decoded object tables ->
     distributed index build -> DSL queries, returning (query, n_matches).
 
-    Each object table re-derives the merged deltas (lazy recompute; a
+    The three object tables decode from one table-tagged merge (a
     persisted run reads them from the runner's checkpoint instead).  The
     strong equality gate vs the in-memory SearchIndex lives in
     tests/test_search_distributed.py; this entry makes the subsystem run
     under the driver harness at sf scale (rows-only: extraction semantics
     have no SQL form)."""
     import pandas as pd
-    import pyarrow.compute as _pc
 
-    from ..spandoc import US
     from ..pipelines.extract import (
-        decode_object_batch,
+        _tag_table_name,
+        decode_table,
         extract_corpus_cached,
         merge_deltas,
     )
@@ -492,28 +491,14 @@ def search_targets_count(sf_dir: str) -> "object":
     # checkpoint parquet here instead of holding blocks in the store).
     # extraction itself is the session-cached corpus extraction shared
     # with extract_spans / extract_object_stats.
-    merged_all = merge_deltas(extract_corpus_cached(sf_dir)).materialize()
-
-    def table_ds(kinds: tuple[str, ...]) -> Dataset:
-        merged = merged_all
-
-        def pick(t):
-            import pyarrow as _pa
-
-            mk = t.column("mkey")
-            mask = None
-            for k in kinds:
-                m = _pc.starts_with(mk, k + US)
-                mask = m if mask is None else _pc.or_(mask, m)
-            return t.filter(mask)
-
-        return merged.map_batches(pick, batch_format="pyarrow").map_batches(
-            decode_object_batch, batch_format="pyarrow"
-        )
-
-    xt = table_ds(("xtarget",))
-    oa = table_ds(("xtarget_attr", "aspect_attr", "link_attr"))
-    at = table_ds(("attribute",))
+    tagged = (
+        merge_deltas(extract_corpus_cached(sf_dir))
+        .map_batches(_tag_table_name, batch_format="pyarrow")
+        .materialize()
+    )
+    xt = decode_table(tagged, "xtargets")
+    oa = decode_table(tagged, "object_attrs")
+    at = decode_table(tagged, "attributes")
     # materialize: the index is probed by every query below — lazy, each
     # count() would re-run the whole build join DAG (3x the build cost)
     index = build_target_index_ds(xt, oa, at, num_partitions=4).materialize()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from . import core
 from .core import AspectConfig
@@ -477,96 +477,3 @@ class ExtractionStore:
         self.pin_chain(pin_from, "src", link.guid)
         self.pin_chain(pin_to, "dst", link.guid)
         return conn
-
-    # -- export -------------------------------------------------------------
-
-    def to_tables(self) -> dict[str, list[dict[str, Any]]]:
-        """Canonical row dicts per object table (FIXTURES.md §6 schemas).
-        Attribute lists are sorted by attribute GUID; page-object edges and
-        errors are set-deduplicated like the reference's mapper sets."""
-
-        def attr_list(guids: set[str]) -> list[dict[str, str]]:
-            out = []
-            for g in sorted(guids):
-                a = self.attributes[g]
-                out.append(
-                    {
-                        "attr_guid": a.guid,
-                        "attr_type": a.attr_type,
-                        "name": a.name,
-                        "value_json": a.value_json,
-                    }
-                )
-            return out
-
-        page_objects = sorted(
-            {(d, p, k, g) for d, p, k, g in self.mapping_log}
-        )
-        errors = sorted({(d, p, s, m) for d, p, s, m in self.error_log})
-        return {
-            "xtargets": [
-                {
-                    "guid": t.guid,
-                    "tag_str": t.tag_str,
-                    "target_type": t.target_type,
-                    "attrs": attr_list(t.attr_guids),
-                }
-                for t in sorted(self.targets.values(), key=lambda r: r.guid)
-            ],
-            "connections": [
-                {
-                    "guid": c.guid,
-                    "src_guid": c.src_guid,
-                    "dst_guid": c.dst_guid,
-                    "through_guid": c.through_guid,
-                }
-                for c in sorted(self.connections.values(), key=lambda r: r.guid)
-            ],
-            "links": [
-                {
-                    "guid": l.guid,
-                    "name": l.name,
-                    "connection_guid": l.connection_guid,
-                    "src_pin_name": l.src_pin_name,
-                    "dst_pin_name": l.dst_pin_name,
-                    "attrs": attr_list(l.attr_guids),
-                }
-                for l in sorted(self.links.values(), key=lambda r: r.guid)
-            ],
-            "pins": [
-                {
-                    "guid": p.guid,
-                    "name": p.name,
-                    "role": p.role,
-                    "chain": p.chain,
-                    "link_guid": p.link_guid,
-                }
-                for p in sorted(self.pins.values(), key=lambda r: r.guid)
-            ],
-            "aspects": [
-                {
-                    "guid": a.guid,
-                    "separator": a.separator,
-                    "value": a.value,
-                    "attrs": attr_list(a.attr_guids),
-                }
-                for a in sorted(self.aspects.values(), key=lambda r: r.guid)
-            ],
-            "attributes": [
-                {
-                    "guid": a.guid,
-                    "attr_type": a.attr_type,
-                    "name": a.name,
-                    "value_json": a.value_json,
-                }
-                for a in sorted(self.attributes.values(), key=lambda r: r.guid)
-            ],
-            "page_objects": [
-                {"doc_id": d, "page_no": p, "object_kind": k, "object_guid": g}
-                for d, p, k, g in page_objects
-            ],
-            "errors": [
-                {"doc_id": d, "page_no": p, "severity": s, "message": m}
-                for d, p, s, m in errors
-            ],
-        }

@@ -1,17 +1,29 @@
-"""Byte-level contract of the delta encoding.
+"""Byte-level contract of the delta encoding and its decoders.
 
 ``store_to_deltas`` hand-assembles its JSON payloads with CPython's C string
 escaper instead of ``json.dumps`` (hot path: every object of every document).
 These tests pin that the fast form is byte-identical to
 ``canonical_json`` — including adversarial strings (quotes, backslashes,
-control chars, non-ASCII, the \\x1f unit separator itself) and None fields.
+control chars, non-ASCII, the \\x1f unit separator itself) and None fields —
+and that the columnar production decoder (``decode_object_batch``) returns
+exactly the rows of the per-row reference (``assemble_rows``), typed as
+``TABLE_SCHEMAS`` declares.
 """
 
 from __future__ import annotations
 
 import json
 
-from indu_doc_transformer_ray.deltas import store_to_deltas
+import pyarrow as pa
+
+from indu_doc_transformer_ray.deltas import (
+    KIND_TO_TABLE,
+    TABLE_SCHEMAS,
+    assemble_rows,
+    local_combine,
+    store_to_deltas,
+)
+from indu_doc_transformer_ray.pipelines.extract import decode_object_batch
 from indu_doc_transformer_ray.spandoc import US
 from indu_doc_transformer_ray.store import (
     AspectRec,
@@ -19,7 +31,9 @@ from indu_doc_transformer_ray.store import (
     ConnRec,
     ExtractionStore,
     LinkRec,
+    PageCtx,
     PinRec,
+    TargetRec,
     canonical_json,
 )
 from indu_doc_transformer_ray.core import default_config
@@ -98,3 +112,67 @@ def test_payloads_round_trip_through_json():
     for mkey, payload in store_to_deltas(store):
         if payload.startswith("{"):
             json.loads(payload)  # must stay valid JSON
+
+
+def _decode_against_reference(store) -> dict[str, pa.Table]:
+    """Decode the store's merged deltas table by table with the production
+    decoder, assert each batch equals the per-row reference and carries the
+    declared schema, and return the decoded tables."""
+    by_table: dict[str, list[tuple[str, str]]] = {}
+    for mkey, payload in sorted(local_combine(store_to_deltas(store)).items()):
+        by_table.setdefault(KIND_TO_TABLE[mkey.split(US)[0]], []).append(
+            (mkey, payload)
+        )
+    out = {}
+    for name, pairs in by_table.items():
+        decoded = decode_object_batch(pa.table({
+            "mkey": pa.array([m for m, _ in pairs], pa.string()),
+            "payload": pa.array([p for _, p in pairs], pa.string()),
+        }))
+        ref = [assemble_rows(m, p) for m, p in pairs]
+        assert {n for n, _ in ref} == {name}
+        assert decoded.schema == TABLE_SCHEMAS[name], name
+        assert decoded.to_pylist() == [row for _, row in ref], name
+        out[name] = decoded
+    return out
+
+
+def test_decoder_matches_reference_on_nasty_strings():
+    store = ExtractionStore(default_config)
+    for i, s in enumerate(NASTY):
+        store.attributes[f"ag{i}"] = AttrRec(
+            f"ag{i}", "SimpleAttribute", s, json.dumps({"name": s, "value": s})
+        )
+        store.targets[f"tg{i}"] = TargetRec(
+            f"tg{i}", s, ("device", "cable", "other")[i % 3], {f"ag{i}"}
+        )
+        store.aspects[f"sg{i}"] = AspectRec(f"sg{i}", "+", s, {f"ag{i}"})
+        store.links[f"lg{i}"] = LinkRec(
+            f"lg{i}", s, f"cg{i}", s + "1", s + "2", {f"ag{i}"}
+        )
+        store.pins[f"pg{i}"] = PinRec(f"pg{i}", s, "src", [s, s + "x"], f"lg{i}")
+        store.connections[f"cg{i}"] = ConnRec(f"cg{i}", s, None, s or None)
+    assert set(_decode_against_reference(store)) == set(KIND_TO_TABLE.values())
+
+
+def test_decoder_keeps_date_like_names_as_strings():
+    """Pin and link names that look like dates must stay strings: a
+    JSON reader that infers types would turn them into timestamps."""
+    store = ExtractionStore(default_config)
+    page = PageCtx(doc_id="d", page_no=0, footer=None)
+    assert store.connection_with_link(
+        None, "-X1:2020-01-01", "-X2:2021-02-02", page
+    ) is not None
+    decoded = _decode_against_reference(store)
+    assert {"pins", "links", "connections"} <= set(decoded)
+    pins = decoded["pins"].to_pylist()
+    assert {p["name"] for p in pins} == {"2020-01-01", "2021-02-02"}
+
+
+def test_decoder_types_all_null_column():
+    """A batch whose through_guid is null in every row still decodes as a
+    string column."""
+    store = ExtractionStore(default_config)
+    store.connections["c0"] = ConnRec("c0", "s", "d", None)
+    store.connections["c1"] = ConnRec("c1", None, "d", None)
+    assert set(_decode_against_reference(store)) == {"connections"}

@@ -4639,3 +4639,26 @@ def test_gale_shapley_order_independence_randomized():
             for s in S for n in N if rng.random() < 0.7
         }
         assert sequential(S, N, r, cap) == synchronous(S, N, r, cap), seed
+
+
+@pytest.mark.parametrize("first", ["graph", "similarity"])
+def test_graph_and_similarity_import_in_either_order(first):
+    """graph.py imports similarity.py at its top and similarity.py re-exports
+    the graph family: each must import first in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        f"from indu_doc_transformer_ray.functions import {first}\n"
+        "from indu_doc_transformer_ray.functions import graph, similarity\n"
+        "assert similarity.BFS_HOPS_SQL is graph.BFS_HOPS_SQL\n"
+        "from indu_doc_transformer_ray.functions.similarity import knn_graph\n"
+        "assert knn_graph is graph.knn_graph\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True,
+        text=True, timeout=120, env=dict(os.environ, PYTHONPATH=root),
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -11,17 +11,12 @@ import pytest
 
 import ray.data
 
-from indu_doc_transformer_ray.deltas import oracle_tables
 from indu_doc_transformer_ray.fixtures import corpus_table
 from indu_doc_transformer_ray.oracle import run_oracle
 from indu_doc_transformer_ray.pipelines.extract import (
     extract_documents,
     object_tables_to_pylists,
 )
-from indu_doc_transformer_ray.store import ExtractionStore
-from indu_doc_transformer_ray.core import default_config
-from indu_doc_transformer_ray.emit import process_document
-from indu_doc_transformer_ray.spandoc import Span
 
 N_DOCS = 60
 SEED = 7
@@ -34,17 +29,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def oracle_result(corpus):
-    store = ExtractionStore(default_config)
-    spans_out = {}
-    for doc_id, raw in zip(
-        corpus.column("doc_id").to_pylist(), corpus.column("spans").to_pylist()
-    ):
-        spans = [Span(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in raw]
-        out = process_document(doc_id, spans, store)
-        spans_out[doc_id] = [
-            (s.kind, s.text, s.media_ref, s.offset) for s in out
-        ]
-    return spans_out, oracle_tables(store)
+    return run_oracle(corpus)
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +44,9 @@ def test_span_sequences_match(ray_extracted, oracle_result):
     for batch in ray_extracted.select_columns(["doc_id", "spans"]).iter_batches(
         batch_format="pyarrow"
     ):
-        for doc_id, spans in zip(
+        got.update(zip(
             batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
-        ):
-            got[doc_id] = [
-                (s["kind"], s["text"], s["media_ref"], s["offset"]) for s in spans
-            ]
+        ))
     assert set(got) == set(oracle_spans)
     mismatched = [d for d in got if got[d] != oracle_spans[d]]
     assert mismatched == [], f"span mismatch in {mismatched[:3]}"

@@ -239,3 +239,54 @@ def test_run_extraction_refuses_single_cpu(tmp_path):
     assert float(line.split()[1]) < 5.0
     assert "at least 2 CPUs" in line
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_finished_job_releases_every_cpu(tmp_path):
+    """A finished run_extraction must hand back its actor pool's CPUs at
+    once, not when the driver's cyclic garbage collector next runs: a held
+    CPU starves the next shard and run_merge's fold tasks.  The automatic
+    collector is off in the job's driver, so only an explicit release frees
+    the pool.  Runs in its own 4-CPU Ray session."""
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    import pyarrow.parquet as pq
+
+    inp = str(tmp_path / "docs.parquet")
+    pq.write_table(corpus_table(8, seed=3), inp)
+    script = textwrap.dedent(f"""
+        import gc
+        import time
+        import ray
+        from indu_doc_transformer_ray.pipelines.runner import run_extraction
+        ray.init(address="local", num_cpus=4, include_dashboard=False,
+                 logging_level="ERROR")
+        total = ray.cluster_resources()["CPU"]
+        gc.disable()
+        run_extraction({inp!r}, {str(tmp_path / "out")!r}, shards=1)
+        t0 = time.monotonic()
+        while (ray.available_resources().get("CPU", 0) < total
+               and time.monotonic() - t0 < 3.0):
+            time.sleep(0.05)
+        print("FREE", ray.available_resources().get("CPU", 0), total)
+        ray.shutdown()
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    # own process group: a hang is killed together with its Ray processes
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env, cwd=root,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+    line = next((ln for ln in out.splitlines() if ln.startswith("FREE")), "")
+    assert line, out + err
+    free, total = map(float, line.split()[1:])
+    assert free == total, f"{total - free} of {total} CPUs still held"

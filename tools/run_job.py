@@ -57,7 +57,9 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
+    from indu_doc_transformer_ray.deltas import TABLE_NAMES
     from indu_doc_transformer_ray.pipelines.runner import (
+        object_table,
         run_extraction,
         run_merge,
     )
@@ -94,20 +96,15 @@ def main() -> None:
     if args.stats:
         # per-table merged counts, computed distributed (filtered reads of
         # the merged objects + lazily flattened doc-scoped columns)
-        from indu_doc_transformer_ray.deltas import TABLE_NAMES
-        from indu_doc_transformer_ray.pipelines.runner import object_table
-
         summary["stats"] = {
             name: object_table(args.out, name).count() for name in TABLE_NAMES
         }
 
     if args.export:
         from indu_doc_transformer_ray import exporters
-        from indu_doc_transformer_ray.pipelines.runner import object_table
 
         tables = {}
-        for name in ("xtargets", "connections", "links", "pins", "aspects",
-                     "attributes", "object_attrs", "page_objects", "errors"):
+        for name in TABLE_NAMES:
             tables[name] = object_table(args.out, name).to_pandas().to_dict(
                 "records"
             )
