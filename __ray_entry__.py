@@ -90,8 +90,9 @@ def _extract_spans(sf_dir: str):
 
 def _extract_object_stats(sf_dir: str):
     """Object counts per table (the reference's get_stats, G12), fully
-    distributed.  The exchange is the same 256-bucket GUID co-location the
-    flagship merge uses (``_bucketize``), NOT a raw groupby over the
+    distributed.  The exchange is the same GUID-bucket co-location the
+    flagship merge uses (``_bucketize``, ``bucket_chars`` of the corpus
+    wide), NOT a raw groupby over the
     corpus-proportional mkey domain — a previous version grouped by
     (kind, key) directly and paid Ray's per-group cost on hundreds of
     thousands of groups (the session-5 cliff; 7.2 s at sf0.1).  Each
@@ -108,13 +109,17 @@ def _extract_object_stats(sf_dir: str):
         _bucketize,
         _explode_deltas,
         _tag_table_name,
+        bucket_chars,
         extract_corpus_cached,
     )
+
+    extracted = extract_corpus_cached(sf_dir)
+    chars = bucket_chars(extracted.count())
 
     def partials(batch: pa.Table) -> pa.Table:
         # batch-combined deltas keyed into the merge's GUID buckets, plus
         # the doc-scoped sums as two pre-folded rows in a reserved bucket
-        combined = _bucketize(_explode_deltas(batch))
+        combined = _bucketize(_explode_deltas(batch), chars)
         delta_rows = pa.table(
             {
                 "bucket": combined.column("bucket"),
@@ -162,7 +167,6 @@ def _extract_object_stats(sf_dir: str):
         )
         return g.rename_columns(["kind", "n"])
 
-    extracted = extract_corpus_cached(sf_dir)
     out = (
         extracted.select_columns(["doc_id", "deltas", "n_errors", "n_page_objects"])
         .map_batches(partials, batch_format="pyarrow")

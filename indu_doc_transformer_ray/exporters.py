@@ -257,20 +257,28 @@ def export_aml(
     name gets its own single-level hierarchy.  Connections unpack per the
     reference's G14 rule: each link adds ConnPoint elements on its endpoint
     targets; a through-cable hosts an InternalConnection bridged by two
-    InternalLinks, a virtual cable gets one direct InternalLink."""
+    InternalLinks, a virtual cable gets one direct InternalLink.
+
+    The output depends only on the tables' rows, never on their order: an
+    element's attributes are sorted by (name, guid), and of two pins on
+    one link end with equal chain length the larger guid wins."""
     owner_attrs: dict[str, list[dict]] = {}
     attrs_by_guid = {a["guid"]: a for a in tables["attributes"]}
     for oa in tables["object_attrs"]:
         owner_attrs.setdefault(oa["owner_guid"], []).append(
             attrs_by_guid[oa["attr_guid"]]
         )
+    for attrs in owner_attrs.values():
+        attrs.sort(key=lambda a: (a["name"], a["guid"]))
 
     targets = {t["guid"]: t for t in tables["xtargets"]}
     pins_by_link: dict[tuple[str, str], dict] = {}
     for p in tables["pins"]:
         key = (p["link_guid"], p["role"])
         cur = pins_by_link.get(key)
-        if cur is None or len(p["chain"]) > len(cur["chain"]):
+        if cur is None or (len(p["chain"]), p["guid"]) > (
+            len(cur["chain"]), cur["guid"]
+        ):
             pins_by_link[key] = p
     links_by_conn: dict[str, list[dict]] = {}
     for l in tables["links"]:

@@ -97,3 +97,18 @@ def session_token() -> str:
         return f"{ctx.get_node_id()}:{ctx.get_job_id()}"
     except Exception:  # pragma: no cover - outside a Ray session
         return ""
+
+
+def session_memo(memo: dict, key, build):
+    """One-entry session memo: the value cached in ``memo`` for ``key`` in
+    the current Ray session, else ``build()``.  A miss empties ``memo``
+    first, so a process that sweeps several keys or sessions keeps only
+    the current entry's materialized blocks alive."""
+    tok = session_token()
+    hit = memo.get(key)
+    if hit is not None and hit[0] == tok:
+        return hit[1]
+    memo.clear()
+    value = build()
+    memo[key] = (tok, value)
+    return value

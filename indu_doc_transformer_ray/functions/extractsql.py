@@ -551,21 +551,39 @@ _MEMO: dict = {}
 
 
 def _extracted(sf_dir: str) -> Dataset:
-    from ..functions._util import session_token
+    from ..functions._util import session_memo
     from ..pipelines.extract import extract_documents
 
-    tok = session_token()
-    hit = _MEMO.get(sf_dir)
-    if hit is not None and hit[0] == tok:
-        return hit[1]
-    ds = extract_documents(sql_corpus_dataset(sf_dir)).materialize()
-    _MEMO[sf_dir] = (tok, ds)
-    return ds
+    return session_memo(
+        _MEMO,
+        sf_dir,
+        lambda: extract_documents(sql_corpus_dataset(sf_dir)).materialize(),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Query 1: per-document output-span-sequence digest
 # ---------------------------------------------------------------------------
+
+def _span_seq_md5(spans: pa.ListArray) -> list[str]:
+    """md5 of each row's span sequence (kind/text/media_ref/offset per
+    span joined by US, spans joined by RS).  The list offsets are rebased
+    to the first one: on a sliced array ``.offsets`` are raw buffer
+    positions while ``flatten()`` starts at the slice."""
+    import pyarrow.compute as pc
+
+    flat = spans.flatten()
+    el = pc.binary_join_element_wise(
+        flat.field("kind"),
+        flat.field("text"),
+        flat.field("media_ref"),
+        pc.cast(flat.field("offset"), pa.string()),
+        US,
+    )
+    offsets = pc.subtract(spans.offsets, spans.offsets[0])
+    joined = pc.binary_join(pa.ListArray.from_arrays(offsets, el), RS)
+    return [hashlib.md5(s.encode()).hexdigest() for s in joined.to_pylist()]
+
 
 def extract_span_digest(sf_dir: str) -> Dataset:
     """Per document: (doc_id, n_pages, n_spans_in, n_errors,
@@ -577,21 +595,7 @@ def extract_span_digest(sf_dir: str) -> Dataset:
     def digest(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        spans = batch.column("spans").combine_chunks()
-        flat = spans.flatten()
-        el = pc.binary_join_element_wise(
-            flat.field("kind"),
-            flat.field("text"),
-            flat.field("media_ref"),
-            pc.cast(flat.field("offset"), pa.string()),
-            US,
-        )
-        joined = pc.binary_join(
-            pa.ListArray.from_arrays(spans.offsets, el), RS
-        )
-        md5s = [
-            hashlib.md5(s.encode()).hexdigest() for s in joined.to_pylist()
-        ]
+        md5s = _span_seq_md5(batch.column("spans").combine_chunks())
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),

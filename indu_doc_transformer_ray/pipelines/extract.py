@@ -14,8 +14,9 @@ Design points for 100 TB (SURVEY.md §3.4/§4):
   cells), so document skew is bounded by pages/doc; small ``batch_size``
   plus Ray's dynamic block splitting absorbs the multi-hundred-page tail.
 - The ONLY cross-document step is the object merge: deltas are routed to
-  one of 256 buckets by the first ``BUCKET_CHARS`` hex chars of their
-  embedded GUID, and each bucket is reduced by the same max-per-``mkey`` fold
+  one of ``16**c`` buckets by the first ``c = bucket_chars(n_docs)`` hex
+  chars of their embedded GUID (16 buckets up to 2,048 documents, 256 up to
+  32,768), and each bucket is reduced by the same max-per-``mkey`` fold
   (``_max_fold``) that pre-combines every batch — md5-derived keys are
   uniform by construction, so no skew/salting needed (SURVEY.md §7.4).
 - The actor pool holds the warm state (parsed config, compiled separator
@@ -279,11 +280,26 @@ def extract_documents(
     )
 
 
-#: merge bucket width: the first 2 hex chars of the embedded GUID, 256
-#: buckets.  Fixed: bucket dirs that survive a crash and the ones a re-run
-#: rebuilds must agree on it.  A width derived from the corpus would have
-#: to be recorded in the shard manifests and the merge fingerprint.
-BUCKET_CHARS = 2
+#: documents per merge bucket that ``bucket_chars`` sizes the width for.
+#: A document yields about 300-500 delta rows (measured on the fixture and
+#: md5-choice corpora), so a bucket receives at most ~40-64k delta rows.
+#: At 128 the 20,000-document sf0.1 headline keeps 2 chars (256 buckets)
+#: while 160-2,048 documents get 1 char (16 buckets); at 256 buckets a
+#: 160-document job wrote ~300 rows per bucket file and spent most of its
+#: merge on the 512 files of each round.
+DOCS_PER_BUCKET = 128
+
+
+def bucket_chars(n_docs: int) -> int:
+    """Merge bucket width for a corpus of ``n_docs`` documents: the
+    smallest hex-char count ``c >= 1`` with ``16**c * DOCS_PER_BUCKET >=
+    n_docs``.  Callers compute it once on the driver and pass it on, so
+    Ray workers never read this module's globals; bucket dirs written at
+    one width are never folded with another's."""
+    c = 1
+    while 16**c * DOCS_PER_BUCKET < n_docs:
+        c += 1
+    return c
 
 
 def _max_fold(t: pa.Table) -> pa.Table:
@@ -305,29 +321,34 @@ def _explode_deltas(batch: pa.Table) -> pa.Table:
     ))
 
 
-def _bucketize(batch: pa.Table) -> pa.Table:
-    """Merge bucket from the first ``BUCKET_CHARS`` hex chars of the
-    embedded GUID (uniform by construction)."""
+def _bucketize(batch: pa.Table, chars: int) -> pa.Table:
+    """Merge bucket from the first ``chars`` hex chars of the embedded
+    GUID (uniform by construction)."""
     guid_part = pc.list_element(
         pc.split_pattern(batch.column("mkey"), US, max_splits=1), 1
     )
-    bucket = pc.utf8_slice_codeunits(guid_part, 0, BUCKET_CHARS)
+    bucket = pc.utf8_slice_codeunits(guid_part, 0, chars)
     return batch.append_column("bucket", bucket)
 
 
 def merge_deltas(extracted: Dataset) -> Dataset:
     """In-memory merge path (tests / small runs): the max fold over a
-    coarse bucket exchange.  Output: (mkey, payload).
+    coarse bucket exchange, ``bucket_chars`` of the corpus wide.  Output:
+    (mkey, payload).  The extraction is materialized (a no-op when it
+    already is) so its document count sizes the width without running it
+    twice.
 
     The production path avoids even this exchange: the runner writes deltas
     hash-partitioned by bucket at checkpoint time (a map-side partitioned
     write — no all-to-all), then folds each bucket independently
     (runner.run_merge)."""
+    extracted = extracted.materialize()
+    chars = bucket_chars(extracted.count())
     flat = extracted.select_columns(["deltas"]).map_batches(
         _explode_deltas, batch_format="pyarrow"
     )
     return (
-        flat.map_batches(_bucketize, batch_format="pyarrow")
+        flat.map_batches(_bucketize, fn_args=(chars,), batch_format="pyarrow")
         .groupby("bucket")
         .map_groups(_max_fold, batch_format="pyarrow")
     )
@@ -428,6 +449,7 @@ def flatten_local_rows(extracted: Dataset, column: str) -> Dataset:
 
 def object_tables_to_pylists(extracted: Dataset) -> dict[str, list[dict]]:
     """Small-scale/test materialization of every normalized object table."""
+    extracted = extracted.materialize()  # one extraction feeds all three reads
     out: dict[str, list[dict]] = {n: [] for n in TABLE_NAMES}
     for batch in merge_deltas(extracted).iter_batches(
         batch_size=65536, batch_format="pyarrow"
@@ -447,8 +469,9 @@ def object_tables_to_pylists(extracted: Dataset) -> dict[str, list[dict]]:
 #: extract_object_stats and search_targets_count all extract the SAME
 #: deterministic span corpus (documents rows // 5, seed 42); when a harness
 #: runs them back-to-back in one session the heavy actor-pool extraction
-#: should happen once.  Entries carry the Ray job id — block refs die with
-#: the session, so a stale entry is recomputed, never returned.
+#: should happen once.  ``_util.session_memo`` keeps only the current
+#: (key, session) entry — block refs die with the session, so a stale
+#: entry is recomputed, never returned.
 _EXTRACT_MEMO: dict[tuple, tuple[str, Dataset]] = {}
 
 
@@ -458,20 +481,14 @@ def extract_corpus_cached(sf_dir: str) -> Dataset:
     the extraction-family queries within one Ray session."""
     import pyarrow.parquet as pq
 
-    import ray
-
+    from ..functions._util import session_memo
     from .corpus import corpus_dataset
 
     n_docs = max(
         20, pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows // 5
     )
-    from ..functions._util import session_token
-
-    tok = session_token()
-    key = (sf_dir, n_docs)
-    hit = _EXTRACT_MEMO.get(key)
-    if hit is not None and hit[0] == tok:
-        return hit[1]
-    extracted = extract_documents(corpus_dataset(n_docs, seed=42)).materialize()
-    _EXTRACT_MEMO[key] = (tok, extracted)
-    return extracted
+    return session_memo(
+        _EXTRACT_MEMO,
+        (sf_dir, n_docs),
+        lambda: extract_documents(corpus_dataset(n_docs, seed=42)).materialize(),
+    )

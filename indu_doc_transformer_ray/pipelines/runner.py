@@ -15,6 +15,10 @@ Ray Data gives task-level retry/lineage but no job-level checkpointing
   (parquet column pruning), writes it hash-partitioned by a GUID-derived
   bucket (map-side partitioning — no all-to-all exchange), and folds each
   bucket independently into the merged object tables, with its own manifest.
+  The bucket width is ``extract.bucket_chars`` of the corpus's document
+  count and is part of the bucket-dir path
+  (``delta_buckets/chars=C/shard=K``), so dirs written at another width
+  are never folded: they are removed and rebuilt like missing ones.
 
 The span equality surface lives in the checkpoint itself: ``doc_id, spans``
 columns of ``extracted/`` — consumers column-prune them out for free.
@@ -42,6 +46,7 @@ from .extract import (
     _explode_deltas,
     _max_fold,
     _tag_table_name,
+    bucket_chars,
     decode_table,
     extract_documents,
     flatten_local_rows,
@@ -118,19 +123,34 @@ def _shard_stats(shard_dir: str) -> dict[str, int]:
     }
 
 
-def _shard_bucket_dir(out_dir: str, shard: int) -> str:
-    return os.path.join(out_dir, "delta_buckets", f"shard={shard:05d}")
+def _bucket_root(out_dir: str, chars: int) -> str:
+    return os.path.join(out_dir, "delta_buckets", f"chars={chars}")
+
+
+def _shard_bucket_dir(out_dir: str, shard: int, chars: int) -> str:
+    return os.path.join(_bucket_root(out_dir, chars), f"shard={shard:05d}")
+
+
+def _drop_other_widths(out_dir: str, chars: int) -> None:
+    """Remove every ``delta_buckets`` entry but the ``chars=C`` tree: bucket
+    dirs of another width (or an older flat layout) must never be folded
+    with this width's, so they are rebuilt instead."""
+    root = os.path.join(out_dir, "delta_buckets")
+    if os.path.isdir(root):
+        for d in os.listdir(root):
+            if d != f"chars={chars}":
+                shutil.rmtree(os.path.join(root, d), ignore_errors=True)
 
 
 @ray.remote
-def _bucket_task(files: list[str], btmp: str, task_id: int) -> None:
+def _bucket_task(files: list[str], btmp: str, task_id: int, chars: int) -> None:
     """Explode + combine one group of checkpoint files and write the result
     partitioned by the GUID-derived bucket — a single sort-then-slice pass
-    (NOT 256 filter scans), one file per (task, touched bucket)."""
+    (NOT one filter scan per bucket), one file per (task, touched bucket)."""
     combined = _max_fold(pa.concat_tables([
         _explode_deltas(pq.read_table(f, columns=["deltas"])) for f in files
     ]))
-    combined = _bucketize(combined).sort_by("bucket")
+    combined = _bucketize(combined, chars).sort_by("bucket")
     vc = combined.column("bucket").combine_chunks().value_counts()
     offset = 0
     for i in range(len(vc)):
@@ -156,21 +176,22 @@ def _read_bucket_dirs(dirs: list[str]) -> pa.Table:
 
 
 @ray.remote
-def _fold_bucket_group(pairs: list) -> int:
+def _fold_bucket_group(pairs: list) -> list[int]:
     """Fold SEVERAL (bucket_dirs, dest_file) pairs in one task: buckets stay
     the unit of merge correctness/resume, but one Ray task per bucket makes
     the fold phase dispatch-bound when bucket count >> CPUs (256 tasks of
     ~50ms each serialize under a degraded scheduler).  Grouping keeps
-    task count ~2x CPUs with identical outputs."""
-    total = 0
+    task count ~2x CPUs with identical outputs.  Returns the object rows
+    written per bucket, in ``pairs`` order."""
+    rows = []
     for bucket_dirs, dest_file in pairs:
         out = _tag_table_name(_max_fold(_read_bucket_dirs(bucket_dirs)))
         pq.write_table(out, dest_file, **PQ_WRITE_KW)
-        total += out.num_rows
-    return total
+        rows.append(out.num_rows)
+    return rows
 
 
-def _write_shard_delta_buckets(out_dir: str, shard: int) -> None:
+def _write_shard_delta_buckets(out_dir: str, shard: int, chars: int) -> None:
     """Merge phase 2a, PER SHARD: read only the just-written checkpoint's
     ``deltas`` column, explode + combine (vectorized Arrow group_by max),
     write hash-partitioned by the GUID-derived bucket.  Runs inside
@@ -179,11 +200,12 @@ def _write_shard_delta_buckets(out_dir: str, shard: int) -> None:
     merge phase then only folds.  Plain Ray tasks over checkpoint-file
     groups (a per-shard Dataset pipeline here cost ~1s of executor startup
     × shards, round-3 regression finding).  Idempotent (tmp dir + atomic
-    rename); ``run_merge`` regenerates any shard whose bucket dir is
-    missing (crash between checkpoint and bucket commit)."""
+    rename); ``run_merge`` regenerates any shard whose bucket dir at its
+    width ``chars`` is missing (crash between checkpoint and bucket
+    commit, or a width change)."""
     import ray
 
-    bdir = _shard_bucket_dir(out_dir, shard)
+    bdir = _shard_bucket_dir(out_dir, shard, chars)
     if os.path.isdir(bdir):
         return
     btmp = bdir + ".tmp"
@@ -201,7 +223,7 @@ def _write_shard_delta_buckets(out_dir: str, shard: int) -> None:
     nb = min(len(files), max(2, ncpu // 8)) or 1
     groups = [files[i::nb] for i in range(nb)]
     ray.get([
-        _bucket_task.remote(g, btmp, i)
+        _bucket_task.remote(g, btmp, i, chars)
         for i, g in enumerate(groups)
         if g
     ])
@@ -256,11 +278,16 @@ def run_extraction(
         raise FileNotFoundError(f"no parquet inputs under {input_path}")
     shards = min(shards, len(files))
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
+    # one merge width for the whole corpus, from the parquet footers; it
+    # travels to the bucket tasks as an argument
+    total_docs = sum(pq.read_metadata(f).num_rows for f in files)
+    chars = bucket_chars(total_docs)
+    _drop_other_widths(out_dir, chars)
 
     # purge orphans from a previous run with MORE shards: their dirs would
     # otherwise feed stale rows into the merge (which reads extracted/ whole)
-    for sub in ("extracted", "delta_buckets"):
-        ex_dir = os.path.join(out_dir, sub)
+    for ex_dir in (os.path.join(out_dir, "extracted"),
+                   _bucket_root(out_dir, chars)):
         if os.path.isdir(ex_dir):
             for d in os.listdir(ex_dir):
                 if d.startswith("shard="):
@@ -289,9 +316,7 @@ def run_extraction(
 
     # page-granular progress: only materialized when someone listens
     progress_actor = None
-    total_docs = 0
     if on_event is not None:
-        total_docs = sum(pq.read_metadata(f).num_rows for f in files)
         progress_actor = _ProgressActor.remote()
 
     def run_shard(k: int) -> ShardResult:
@@ -314,7 +339,7 @@ def run_extraction(
         shutil.rmtree(shard_dir, ignore_errors=True)
         # a recompute invalidates the shard's delta buckets too (they are
         # regenerated below; a crash in between leaves them to run_merge)
-        shutil.rmtree(_shard_bucket_dir(out_dir, k), ignore_errors=True)
+        shutil.rmtree(_shard_bucket_dir(out_dir, k, chars), ignore_errors=True)
 
         t0 = time.time()
         ds = ray.data.read_parquet(shard_files)
@@ -335,7 +360,7 @@ def run_extraction(
         os.rename(tmp_dir, shard_dir)
         # bucket this shard's deltas NOW (overlaps later shards' extraction;
         # the just-written checkpoint is page-cache warm)
-        _write_shard_delta_buckets(out_dir, k)
+        _write_shard_delta_buckets(out_dir, k, chars)
         wall = time.time() - t0
         manifest = {
             "shard": k,
@@ -346,6 +371,7 @@ def run_extraction(
             "n_spans_in": int(stats["spans"]),
             "n_errors": int(stats["errors"]),
             "n_page_objects": int(stats["page_objects"]),
+            "bucket_chars": chars,
             "wall_s": wall,
         }
         with open(mpath + ".tmp", "w") as f:
@@ -443,44 +469,48 @@ def run_merge(out_dir: str) -> dict:
         ``deltas`` column, explode + batch-combine, write hash-partitioned
         by the GUID-derived bucket) — so by the time the merge runs, most
         of 2a has already overlapped the extraction phase.  Here we only
-        regenerate shards whose bucket dir is missing (crash between the
-        checkpoint commit and the bucket commit, or a pre-refactor layout).
+        regenerate shards whose bucket dir at the merge width is missing:
+        a crash between the checkpoint commit and the bucket commit, or a
+        width change (a corpus that grew past a ``bucket_chars`` boundary
+        while its old shards were skipped).
     2b. Per-bucket fold: each bucket B is read ACROSS shard dirs by one Ray
         task that runs the same max fold, tags table names, and writes its
-        objects file.  Buckets are uniform (md5 prefix), so no skew; the
-        width is fixed at 256 buckets (``extract.BUCKET_CHARS``), which
-        keeps every core of a 32-CPU node busy through the fold.
+        objects file.  Buckets are uniform (md5 prefix), so no skew.  The
+        width is ``bucket_chars`` of the shard manifests' summed ``n_docs``
+        (16 buckets up to 2,048 documents, 256 up to 32,768); those counts
+        are in the shard fingerprint, so the fingerprint fixes the width.
 
-    Doc-scoped page_objects/errors stay as checkpoint columns: already
-    persisted columnar + sharded, consumers flatten them lazily
-    (object_table) — rewriting them would be a second copy of the data."""
-    mpath = os.path.join(out_dir, "manifests", "merge.json")
+    ``merge.json`` records the width, the bucket count and the per-bucket
+    object rows (max and median: the fold's skew).  Doc-scoped
+    page_objects/errors stay as checkpoint columns: already persisted
+    columnar + sharded, consumers flatten them lazily (object_table) —
+    rewriting them would be a second copy of the data."""
+    import statistics
+
+    man_dir = os.path.join(out_dir, "manifests")
+    mpath = os.path.join(man_dir, "merge.json")
+    manifests = {
+        int(f.removeprefix("shard-").removesuffix(".json")):
+            json.load(open(os.path.join(man_dir, f)))
+        for f in os.listdir(man_dir)
+        if f.startswith("shard-") and f.endswith(".json")
+    }
+    shard_ids = sorted(manifests)
+    chars = bucket_chars(sum(m["n_docs"] for m in manifests.values()))
     fingerprint = _shard_fingerprint(out_dir)
     if os.path.exists(mpath):
         m = json.load(open(mpath))
-        # a merge is only reusable for the exact shard set it folded —
-        # re-extracted shards (incremental ingest) invalidate it
-        if m.get("complete") and m.get("shard_fingerprint") == fingerprint:
+        # a merge is only reusable for the exact shard set and width it
+        # folded — re-extracted shards (incremental ingest) invalidate it
+        if (m.get("complete") and m.get("shard_fingerprint") == fingerprint
+                and m.get("bucket_chars") == chars):
             return m
     t0 = time.time()
 
-    # legacy layout guard: a pre-refactor flat delta_buckets/bucket=* tree
-    # (no shard level) cannot be trusted against the current shard set
-    flat_dir = os.path.join(out_dir, "delta_buckets")
-    if os.path.isdir(flat_dir) and any(
-        d.startswith("bucket=") for d in os.listdir(flat_dir)
-    ):
-        shutil.rmtree(flat_dir, ignore_errors=True)
-
-    # 2a catch-up: ensure every manifested shard has its bucket dir
-    man_dir = os.path.join(out_dir, "manifests")
-    shard_ids = sorted(
-        int(f.removeprefix("shard-").removesuffix(".json"))
-        for f in os.listdir(man_dir)
-        if f.startswith("shard-") and f.endswith(".json")
-    )
+    # 2a catch-up: every manifested shard gets its bucket dir at this width
+    _drop_other_widths(out_dir, chars)
     for k in shard_ids:
-        _write_shard_delta_buckets(out_dir, k)
+        _write_shard_delta_buckets(out_dir, k, chars)
 
     # 2b: independent per-bucket folds across shard dirs (raw tasks: a
     # deterministic partitioned fold the Dataset API has no shuffle-free
@@ -490,18 +520,15 @@ def run_merge(out_dir: str) -> dict:
     shutil.rmtree(tmp_dir, ignore_errors=True)
     shutil.rmtree(obj_dir, ignore_errors=True)
     os.makedirs(tmp_dir, exist_ok=True)
-    bucket_names: set[str] = set()
-    for k in shard_ids:
-        bdir = _shard_bucket_dir(out_dir, k)
-        bucket_names.update(
-            d for d in os.listdir(bdir) if d.startswith("bucket=")
-        )
+    shard_dirs = [_shard_bucket_dir(out_dir, k, chars) for k in shard_ids]
+    bucket_names = sorted({
+        d for sd in shard_dirs for d in os.listdir(sd) if d.startswith("bucket=")
+    })
     pairs = []
-    for b in sorted(bucket_names):
+    for b in bucket_names:
         dirs = [
-            os.path.join(_shard_bucket_dir(out_dir, k), b)
-            for k in shard_ids
-            if os.path.isdir(os.path.join(_shard_bucket_dir(out_dir, k), b))
+            os.path.join(sd, b) for sd in shard_dirs
+            if os.path.isdir(os.path.join(sd, b))
         ]
         pairs.append((dirs, os.path.join(tmp_dir, f"{b}.parquet")))
     # group buckets into ~2x-CPU tasks: the fold is dispatch-bound at one
@@ -509,29 +536,25 @@ def run_merge(out_dir: str) -> dict:
     ncpu = session_cpus()
     n_tasks = min(len(pairs), max(1, ncpu * 2))
     groups = [pairs[i::n_tasks] for i in range(n_tasks)]
-    futures = [_fold_bucket_group.remote(g) for g in groups if g]
-    ray.get(futures)  # each fold is independent; a failed run just re-runs
+    # each fold is independent; a failed run just re-runs
+    bucket_rows = [
+        n for rows in ray.get([_fold_bucket_group.remote(g) for g in groups])
+        for n in rows
+    ]
     os.rename(tmp_dir, obj_dir)
 
-    def _count(d: str) -> int:
-        return sum(
-            pq.read_metadata(os.path.join(r, f)).num_rows
-            for r, _d, fs in os.walk(d)
-            for f in fs
-            if f.endswith(".parquet")
-        )
-
     # merged entities + doc-scoped counts from the shard manifests
-    man_dir = os.path.join(out_dir, "manifests")
-    local_rows = 0
-    for f in os.listdir(man_dir):
-        if f.startswith("shard-"):
-            m = json.load(open(os.path.join(man_dir, f)))
-            local_rows += m.get("n_errors", 0) + m.get("n_page_objects", 0)
-    n_objects = _count(obj_dir) + local_rows
+    local_rows = sum(
+        m.get("n_errors", 0) + m.get("n_page_objects", 0)
+        for m in manifests.values()
+    )
     manifest = {
         "complete": True,
-        "n_objects": int(n_objects),
+        "n_objects": int(sum(bucket_rows) + local_rows),
+        "bucket_chars": chars,
+        "n_buckets": len(bucket_rows),
+        "bucket_rows_max": max(bucket_rows, default=0),
+        "bucket_rows_median": statistics.median(bucket_rows or [0]),
         "wall_s": time.time() - t0,
         "shard_fingerprint": fingerprint,
     }

@@ -183,3 +183,76 @@ def test_extract_object_stats_matches_object_tables(ray_session):
         name: len(rows) for name, rows in tables.items() if len(rows)
     }
     assert dict(zip(got["table_name"], got["n"])) == want
+
+
+def test_span_digest_of_sliced_spans_matches_unsliced():
+    """A sliced ``spans`` ListArray (nonzero offset) digests exactly like
+    the same rows cut from the unsliced digest."""
+    import pyarrow as pa
+
+    from indu_doc_transformer_ray.fixtures import SPAN_STRUCT
+    from indu_doc_transformer_ray.functions.extractsql import _span_seq_md5
+
+    spans = pa.array(
+        [
+            [
+                {"kind": k, "text": t, "media_ref": m, "offset": i}
+                for i, (k, t, m) in enumerate(synth_doc_spans(d))
+            ]
+            for d in DOCS[:8]
+        ],
+        pa.list_(SPAN_STRUCT),
+    )
+    part = spans.slice(3, 4)
+    assert part.offset == 3
+    assert _span_seq_md5(part) == _span_seq_md5(spans)[3:7]
+
+
+def test_corpus_memos_keep_one_entry(tmp_path, monkeypatch):
+    """Both driver corpus memos (``extractsql._MEMO`` and
+    ``extract._EXTRACT_MEMO``) keep only the current (key, session) entry:
+    sweeping two scale-factor dirs leaves one, and a repeat of the current
+    key is a hit."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from indu_doc_transformer_ray.functions import _util, extractsql
+    from indu_doc_transformer_ray.pipelines import corpus, extract
+
+    class Materializable:
+        def __init__(self, tag):
+            self.tag = tag
+
+        def materialize(self):
+            return self.tag
+
+    builds = []
+
+    def fake_extract(ds):
+        builds.append(ds)
+        return Materializable(ds)
+
+    monkeypatch.setattr(_util, "session_token", lambda: "session-1")
+    monkeypatch.setattr(extract, "extract_documents", fake_extract)
+    monkeypatch.setattr(extractsql, "sql_corpus_dataset", lambda sf: ("sql", sf))
+    monkeypatch.setattr(corpus, "corpus_dataset", lambda n, seed: ("docs", n))
+    sf_dirs = []
+    for i, n in enumerate((100, 200)):
+        d = tmp_path / f"sf{i}"
+        d.mkdir()
+        pq.write_table(pa.table({"doc_id": list(range(n))}),
+                       str(d / "documents.parquet"))
+        sf_dirs.append(str(d))
+    monkeypatch.setattr(extractsql, "_MEMO", {})
+    monkeypatch.setattr(extract, "_EXTRACT_MEMO", {})
+
+    for memo, fetch in ((lambda: extractsql._MEMO, extractsql._extracted),
+                        (lambda: extract._EXTRACT_MEMO,
+                         extract.extract_corpus_cached)):
+        builds.clear()
+        first = fetch(sf_dirs[0])
+        second = fetch(sf_dirs[1])
+        assert first != second
+        assert len(memo()) == 1
+        assert fetch(sf_dirs[1]) is second  # hit: no third build
+        assert len(builds) == 2

@@ -290,3 +290,91 @@ def test_finished_job_releases_every_cpu(tmp_path):
     assert line, out + err
     free, total = map(float, line.split()[1:])
     assert free == total, f"{total - free} of {total} CPUs still held"
+
+
+def test_bucket_chars_from_doc_count():
+    """16 buckets up to 2,048 documents, 256 up to 32,768: the sf0.1
+    headline (20,000 documents) keeps its 256-bucket layout."""
+    from indu_doc_transformer_ray.pipelines.extract import bucket_chars
+
+    assert [bucket_chars(n) for n in (0, 1, 40, 160, 300, 2048)] == [1] * 6
+    assert bucket_chars(2049) == 2
+    assert bucket_chars(20000) == 2
+    assert bucket_chars(32768) == 2
+    assert bucket_chars(32769) == 3
+
+
+@pytest.fixture(scope="module")
+def two_widths(corpus_dir, tmp_path_factory):
+    """The 40-document corpus merged at its derived width (1 char) and,
+    with the driver-side ``DOCS_PER_BUCKET`` lowered, at 2 chars.  The
+    width reaches the bucket tasks as an argument, so the driver patch
+    is the whole override."""
+    from indu_doc_transformer_ray.pipelines import extract
+
+    outs = {}
+    for chars, per_bucket in ((1, extract.DOCS_PER_BUCKET), (2, 2)):
+        out = str(tmp_path_factory.mktemp(f"width{chars}"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extract, "DOCS_PER_BUCKET", per_bucket)
+            run_extraction(corpus_dir, out, shards=2)
+            run_merge(out)
+        outs[chars] = out
+    return outs
+
+
+def _merge_manifest(out):
+    return json.load(open(os.path.join(out, "manifests", "merge.json")))
+
+
+def test_merge_equal_across_widths(two_widths):
+    import pyarrow.dataset as pads
+
+    def rows(out):
+        t = pads.dataset(os.path.join(out, "objects")).to_table(
+            columns=["mkey", "payload"]
+        )
+        return sorted(zip(t.column("mkey").to_pylist(),
+                          t.column("payload").to_pylist()))
+
+    m1, m2 = _merge_manifest(two_widths[1]), _merge_manifest(two_widths[2])
+    assert (m1["bucket_chars"], m2["bucket_chars"]) == (1, 2)
+    assert m1["n_buckets"] == 16 and m2["n_buckets"] > 16
+    assert m1["n_objects"] == m2["n_objects"]
+    r1 = rows(two_widths[1])
+    assert r1 == rows(two_widths[2])
+    assert len({m for m, _p in r1}) == len(r1)  # one row per mkey
+    for chars, out in two_widths.items():
+        # each shard manifest records the width its buckets were written at
+        for k in (0, 1):
+            shard_m = json.load(open(
+                os.path.join(out, "manifests", f"shard-{k:05d}.json")))
+            assert shard_m["bucket_chars"] == chars
+        assert os.listdir(os.path.join(out, "delta_buckets")) == [
+            f"chars={chars}"
+        ]
+
+
+def test_merge_manifest_per_bucket_rows(two_widths):
+    """merge.json's per-bucket object rows describe the objects/ files:
+    they sum to the objects/ row count, and max/median are the files'."""
+    import statistics
+
+    import pyarrow.parquet as pq
+
+    for out in two_widths.values():
+        m = _merge_manifest(out)
+        obj_dir = os.path.join(out, "objects")
+        per_file = [
+            pq.read_metadata(os.path.join(obj_dir, f)).num_rows
+            for f in os.listdir(obj_dir)
+        ]
+        local = 0
+        for k in (0, 1):
+            shard_m = json.load(open(
+                os.path.join(out, "manifests", f"shard-{k:05d}.json")))
+            local += shard_m["n_errors"] + shard_m["n_page_objects"]
+        assert m["n_buckets"] == len(per_file)
+        assert m["n_objects"] - local == sum(per_file)
+        assert m["bucket_rows_max"] == max(per_file)
+        assert m["bucket_rows_median"] == statistics.median(per_file)
