@@ -1,7 +1,7 @@
 """Benchmark harness.
 
 Headline: the flagship extraction pipeline (synthesize-once corpus ->
-read parquet -> actor-pool extraction -> checkpoint write -> delta merge ->
+read parquet -> task-stage extraction -> checkpoint write -> delta merge ->
 object tables) over the corpus derived from ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1), plus a set of representative operator pipelines.
 
@@ -430,7 +430,7 @@ def run_scaling() -> dict:
 
 def run_stats() -> None:
     """Print ds.stats() for the headline extraction pipeline — the
-    measure-don't-guess loop used while tuning batch/pool sizes."""
+    measure-don't-guess loop used while tuning batch sizes."""
     import ray
 
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,

@@ -279,6 +279,32 @@ def register_page_type(spec, emitter) -> None:
     EMITTERS[spec.page_type] = emitter
 
 
+#: the shipped page specs, as imported: ``use_page_settings`` starts from
+#: them, so an override never outlives the extractor it was set for
+_SHIPPED_SPECS = dict(PAGE_SPECS)
+
+
+def use_page_settings(page_settings_json: Optional[str]) -> None:
+    """Make this process's page specs the shipped ones plus the JSON
+    override ``page_settings_json`` (None: no override).  Only page types
+    with a registered emitter take effect.  The title index is rebuilt
+    from the final specs, since an override may rename a search string."""
+    PAGE_SPECS.clear()
+    PAGE_SPECS.update(_SHIPPED_SPECS)
+    if page_settings_json:
+        from .pagesettings import PageSettings, page_specs_from_settings
+
+        st = PageSettings.__new__(PageSettings)
+        st.filename = "<inline>"
+        st.from_json(page_settings_json)
+        PAGE_SPECS.update({
+            k: spec for k, spec in page_specs_from_settings(st).items()
+            if k in EMITTERS
+        })
+    _NAME_INDEX.clear()
+    _NAME_INDEX.update(search_name_index())
+
+
 def process_page(doc_id: str, page: PageSpans, store: ExtractionStore) -> None:
     """One page through the full chain (page_processor.py:26-63): classify ->
     footer -> tables -> emit.  Faithful quirk: pages with an unknown type or

@@ -1,26 +1,29 @@
 """The flagship Ray Data extraction pipeline.
 
     read (parquet/lance docs table)
-      -> map_batches(DocumentExtractor, actor pool)   # classify+footer+tables+emit
+      -> map_batches(extract_batch)                   # classify+footer+tables+emit
            ├─ span path:  select(doc_id, spans_out)   # per-doc, shuffle-free
            └─ delta path: explode + max fold -> GUID bucket -> max fold per bucket
                           -> decode -> normalized object tables
 
 Design points for 100 TB (SURVEY.md §3.4/§4):
 
-- The unit of work is the DOCUMENT (one row), processed whole inside the
-  actor: the equality surface (per-doc ordered spans) is embarrassingly
-  parallel and never shuffles.  Per-page compute is micro-scale (dozens of
-  cells), so document skew is bounded by pages/doc; small ``batch_size``
-  plus Ray's dynamic block splitting absorbs the multi-hundred-page tail.
+- The unit of work is the DOCUMENT (one row), processed whole inside one
+  extraction task: the equality surface (per-doc ordered spans) is
+  embarrassingly parallel and never shuffles.  Per-page compute is
+  micro-scale (dozens of cells), so document skew is bounded by pages/doc;
+  small ``batch_size`` plus Ray's dynamic block splitting absorbs the
+  multi-hundred-page tail.
 - The ONLY cross-document step is the object merge: deltas are routed to
   one of ``16**c`` buckets by the first ``c = bucket_chars(n_docs)`` hex
   chars of their embedded GUID (16 buckets up to 2,048 documents, 256 up to
   32,768), and each bucket is reduced by the same max-per-``mkey`` fold
   (``_max_fold``) that pre-combines every batch — md5-derived keys are
   uniform by construction, so no skew/salting needed (SURVEY.md §7.4).
-- The actor pool holds the warm state (parsed config, compiled separator
-  regex, page-spec index, cross-document memos) built once per actor.
+- Each worker process keeps one warm ``DocumentExtractor`` (parsed
+  config, compiled separator regex, page-spec index, cross-document memos)
+  across batches and jobs, rebuilt only when the config or page settings
+  change (``extract_batch``).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from ..deltas import (
     store_to_deltas,
     store_to_local_tuples,
 )
-from ..emit import process_document
+from ..emit import process_document, use_page_settings
 from ..fixtures import SPAN_STRUCT
 from ..spandoc import US, Span
 from ..store import ExtractionStore, StoreMemo
@@ -75,23 +78,26 @@ def session_cpus() -> int:
     return int(ray.cluster_resources().get("CPU", 8))
 
 
+#: documents per extraction batch, for ``extract_documents`` and
+#: ``run_extraction`` alike.  Per-document work is heavy and variable
+#: (SURVEY.md §4.2), so batches stay small; outputs do not depend on it,
+#: since every memo entry is a pure function of its key.
+BATCH_SIZE = 64
+
+
 class DocumentExtractor:
-    """Actor-pool stage: one whole document per row, a fresh per-document
-    store, output = renumbered span sequence + merge-ready deltas + per-doc
-    metrics columns (feeding the partition manifest)."""
+    """The extraction kernel: one whole document per row, a fresh
+    per-document store, output = renumbered span sequence + merge-ready
+    deltas + per-doc metrics columns (feeding the partition manifest).
+    Holds the warm state: the parsed config and the cross-document memos.
+    Constructing one sets this process's page specs to the shipped ones
+    plus ``page_settings_json`` (``emit.use_page_settings``)."""
 
     def __init__(
         self,
         config_records: Optional[list[dict]] = None,
         page_settings_json: Optional[str] = None,
-        progress: "tuple | None" = None,
     ):
-        # (progress_actor_handle, shard_id) or None: when set, every batch
-        # fire-and-forgets one (shard, docs, pages) increment to the zero-CPU
-        # progress actor — page-granular progress (the reference's
-        # per-page percentage events, plugins/events.py:46-72) at a
-        # one-RPC-per-batch cost instead of one-per-page
-        self.progress = progress
         self.config = (
             AspectConfig.from_pairs(
                 [(r["Separator"], r["Aspect"]) for r in config_records]
@@ -99,32 +105,10 @@ class DocumentExtractor:
             if config_records
             else default_config
         )
-        # cross-document caches shared by every per-doc store this actor
-        # creates (pure-function results only); bounded once per batch
+        # cross-document caches shared by every per-doc store this
+        # extractor creates (pure-function results only); bounded per batch
         self.memo = StoreMemo()
-        if page_settings_json:
-            # register JSON page-spec overrides IN THIS WORKER PROCESS (the
-            # driver's module state does not propagate to Ray actors); only
-            # page types with a registered emitter take effect
-            from .. import emit
-            from ..pagesettings import PageSettings, page_specs_from_settings
-
-            st = PageSettings.__new__(PageSettings)
-            st.filename = "<inline>"
-            st.from_json(page_settings_json)
-            for key, spec in page_specs_from_settings(st).items():
-                emitter = emit.EMITTERS.get(key)
-                if emitter is not None:
-                    emit.register_page_type(spec, emitter)
-            # an override may RENAME a page type's search string: rebuild the
-            # classifier index from the final spec set so stale names drop
-            emit._NAME_INDEX.clear()
-            emit._NAME_INDEX.update(
-                {
-                    sp.search_name.strip().lower(): pt
-                    for pt, sp in emit.PAGE_SPECS.items()
-                }
-            )
+        use_page_settings(page_settings_json)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         self.memo.bound()
@@ -236,9 +220,6 @@ class DocumentExtractor:
              pa.array(er_sev, pa.string()), pa.array(er_msg, pa.string())],
             ["doc_id", "page_no", "severity", "message"],
         )
-        if self.progress is not None:
-            actor, shard = self.progress
-            actor.add.remote(shard, len(doc_ids), sum(n_pages))
         return pa.Table.from_arrays(
             [
                 pa.array(doc_ids, pa.string()),
@@ -255,28 +236,64 @@ class DocumentExtractor:
         )
 
 
+#: this process's warm extractor, ``{key: DocumentExtractor}`` for the
+#: one (config records, page settings) key last used — the one-entry
+#: policy of ``_util.session_memo``.  Ray reuses worker processes across
+#: tasks and jobs, so the memos stay warm from batch to batch.
+_WARM: dict[tuple, DocumentExtractor] = {}
+
+
+def extract_batch(
+    batch: pa.Table,
+    config_records: list[dict],
+    page_settings_json: "str | None",
+    progress: "tuple | None",
+) -> pa.Table:
+    """The extraction stage: ``batch`` through this process's warm
+    ``DocumentExtractor`` for ``(config_records, page_settings_json)``,
+    built anew (page specs reset first) when that key changes.
+
+    ``progress`` is ``(progress_actor, shard)`` or None: when set, every
+    batch fire-and-forgets one (shard, docs, pages) increment to the
+    zero-CPU progress actor — page-granular progress (the reference's
+    per-page percentage events, plugins/events.py:46-72) at one RPC per
+    batch instead of one per page."""
+    key = (
+        tuple((r["Separator"], r["Aspect"]) for r in config_records),
+        page_settings_json,
+    )
+    extractor = _WARM.get(key)
+    if extractor is None:
+        _WARM.clear()
+        extractor = _WARM[key] = DocumentExtractor(
+            config_records, page_settings_json
+        )
+    out = extractor(batch)
+    if progress is not None:
+        actor, shard = progress
+        actor.add.remote(
+            shard, out.num_rows, pc.sum(out.column("n_pages")).as_py() or 0
+        )
+    return out
+
+
 def extract_documents(
     docs: Dataset,
     config: AspectConfig = default_config,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 32,
+    batch_size: int = BATCH_SIZE,
     page_settings_json: "str | None" = None,
     progress: "tuple | None" = None,
 ) -> Dataset:
     """docs(doc_id, spans) -> extracted(doc_id, spans, deltas, metrics).
 
-    ``batch_size`` is small because per-document work is heavy and variable
-    (SURVEY.md §4.2); the default autoscaling actor pool is capped at the
-    session CPU count so the stage can use the node without starving the
-    read/merge stages."""
-    if concurrency is None:
-        concurrency = (1, max(2, session_cpus()))
+    A plain task stage (``extract_batch``), so Ray Data fuses read ->
+    extract -> write into one task on already-running workers: no actor
+    process to start per job, and no CPU held while a stage idles."""
     return docs.map_batches(
-        DocumentExtractor,
+        extract_batch,
         batch_format="pyarrow",
         batch_size=batch_size,
-        fn_constructor_args=(config.to_records(), page_settings_json, progress),
-        concurrency=concurrency,
+        fn_args=(config.to_records(), page_settings_json, progress),
     )
 
 
@@ -468,7 +485,7 @@ def object_tables_to_pylists(extracted: Dataset) -> dict[str, list[dict]]:
 #: session-scoped memo for the driver corpus extraction: extract_spans,
 #: extract_object_stats and search_targets_count all extract the SAME
 #: deterministic span corpus (documents rows // 5, seed 42); when a harness
-#: runs them back-to-back in one session the heavy actor-pool extraction
+#: runs them back-to-back in one session the heavy extraction
 #: should happen once.  ``_util.session_memo`` keeps only the current
 #: (key, session) entry — block refs die with the session, so a stale
 #: entry is recomputed, never returned.

@@ -26,7 +26,6 @@ columns of ``extracted/`` — consumers column-prune them out for free.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import shutil
@@ -42,6 +41,7 @@ from ray.data import Dataset
 
 from ..core import AspectConfig, default_config
 from .extract import (
+    BATCH_SIZE,
     _bucketize,
     _explode_deltas,
     _max_fold,
@@ -235,8 +235,7 @@ def run_extraction(
     out_dir: str,
     shards: int = 8,
     config: AspectConfig = default_config,
-    batch_size: int = 64,
-    concurrency=None,
+    batch_size: int = BATCH_SIZE,
     max_concurrent_shards: int = 8,
     page_settings_json: "str | None" = None,
     on_event=None,
@@ -244,9 +243,12 @@ def run_extraction(
     """Phase 1: per-shard extraction with checkpoint manifests.
 
     Shards execute as independent streaming pipelines; up to
-    ``max_concurrent_shards`` run concurrently (they share the cluster under
-    Ray's scheduler), which overlaps per-pipeline startup while keeping the
-    shard the unit of resume/failure isolation.
+    ``max_concurrent_shards`` (at most one per CPU) run concurrently, sharing
+    the cluster under Ray's scheduler, while the shard stays the unit of
+    resume/failure isolation.  Each shard's read -> extract -> write is one
+    fused Ray Data task stage (``extract.extract_batch``): it holds a CPU
+    only while it runs, so any session size works, and a finished shard
+    leaves no CPU held.
 
     ``on_event`` (optional) mirrors the reference's plugin event emitter
     (plugins/events.py:32-127): called with plain dicts of type
@@ -262,16 +264,6 @@ def run_extraction(
     from concurrent.futures import ThreadPoolExecutor
 
     import ray
-
-    # one CPU cannot hold both an extraction actor and the read that feeds
-    # it: the shard would wait forever, so refuse before touching out_dir
-    ncpu = session_cpus()
-    if ncpu < 2:
-        raise RuntimeError(
-            f"run_extraction needs at least 2 CPUs in the Ray session, got "
-            f"{ncpu}: the extraction actor would hold the only CPU and the "
-            f"read that feeds it would never be scheduled"
-        )
 
     files = _list_input_files(input_path)
     if not files:
@@ -302,17 +294,8 @@ def run_extraction(
             if k >= shards:
                 os.remove(os.path.join(man_dir, f))
 
-    # Size concurrent pipelines + their fixed actor pools so the pools NEVER
-    # reserve every CPU: concurrent pipelines do not coordinate reservations,
-    # and a box fully held by (idle) pool actors starves the read/write
-    # tasks that feed them — a livelock, not just contention.
-    # Same CPU-share formula at every cluster size (honest scaling): C
-    # concurrent pipelines, each with a fixed pool of ncpu/C - 1 actors, so
-    # actors occupy (C-1)/C of the box and every pipeline keeps one free CPU
-    # for its read/write tasks.
-    max_concurrent_shards = min(max_concurrent_shards, max(1, ncpu // 4))
-    if concurrency is None:
-        concurrency = max(1, ncpu // max_concurrent_shards - 1)
+    # a shard in flight past the CPU count would only queue its tasks
+    max_concurrent_shards = min(max_concurrent_shards, session_cpus())
 
     # page-granular progress: only materialized when someone listens
     progress_actor = None
@@ -344,18 +327,13 @@ def run_extraction(
         t0 = time.time()
         ds = ray.data.read_parquet(shard_files)
         extracted = extract_documents(
-            ds, config=config, batch_size=batch_size, concurrency=concurrency,
+            ds, config=config, batch_size=batch_size,
             page_settings_json=page_settings_json,
             progress=(
                 (progress_actor, k) if progress_actor is not None else None
             ),
         )
         extracted.write_parquet(tmp_dir, **PQ_WRITE_KW)
-        # release the shard's actor pool now: the finished Dataset sits in a
-        # reference cycle and would hold its actors' CPUs until the driver's
-        # next cyclic GC, starving later shards and the merge's fold tasks
-        del ds, extracted
-        gc.collect()
         stats = _shard_stats(tmp_dir)
         os.rename(tmp_dir, shard_dir)
         # bucket this shard's deltas NOW (overlaps later shards' extraction;

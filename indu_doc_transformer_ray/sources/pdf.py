@@ -24,6 +24,7 @@ reference's find_tables row model and are out of scope here.
 
 from __future__ import annotations
 
+import logging
 from bisect import bisect_right
 from typing import Any, Iterator, Optional
 
@@ -34,6 +35,8 @@ from ray.data import Dataset
 
 from ..fixtures import DOCS_SCHEMA, SPAN_STRUCT
 from ..spandoc import US
+
+logger = logging.getLogger(__name__)
 
 # -- reference geometry constants -------------------------------------------
 
@@ -460,7 +463,9 @@ class PdfToSpans:
     """Actor-pool stage: a batch of PDF paths -> (doc_id, spans) rows.
     Backend import + page-settings parse happen ONCE per actor; pymupdf
     when the wheel exists, the vendored minipdf subset reader otherwise
-    (so the seam runs in every container — round-5 verdict #6)."""
+    (so the seam runs in every container — round-5 verdict #6), logged as
+    one warning per actor.  A PDF outside minipdf's subset raises
+    ValueError naming the file and pymupdf."""
 
     def __init__(self, settings_json: Optional[str] = None):
         from ..pagesettings import default_page_settings
@@ -472,6 +477,13 @@ class PdfToSpans:
             except ImportError:  # fitz-era wheel
                 import fitz as pymupdf
             self._pymupdf = pymupdf
+        else:
+            logger.warning(
+                "pymupdf is not installed: reading PDFs with the vendored "
+                "minipdf reader, which handles only uncompressed PDFs and "
+                "approximates character widths; install pymupdf for real "
+                "geometry"
+            )
         if settings_json:
             s = default_page_settings()
             s.from_json(settings_json)
@@ -489,7 +501,14 @@ class PdfToSpans:
             finally:
                 doc.close()
         with open(path, "rb") as f:
-            return minipdf_page_dicts(f.read())
+            data = f.read()
+        try:
+            return minipdf_page_dicts(data)
+        except ValueError as e:
+            raise ValueError(
+                f"{path}: {e} (the vendored minipdf reader handles only "
+                f"uncompressed PDFs: install pymupdf to read this file)"
+            ) from e
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids, span_lists = [], []

@@ -106,13 +106,14 @@ class PageCtx:
 
 
 class StoreMemo:
-    """Cross-document memos shared by every per-document store one actor
-    creates.  Every entry is a pure function of its key (and the actor's
-    fixed config), so sharing never changes an output; only the per-doc
+    """Cross-document memos shared by every per-document store one
+    extractor creates, across batches and jobs of one worker process.
+    Every entry is a pure function of its key (and the extractor's fixed
+    config), so sharing never changes an output; only the per-doc
     registration side effects stay in each store."""
 
     #: entries past which a memo is cleared: an adversarial corpus with
-    #: unbounded distinct attrs/tags must not grow an actor without limit
+    #: unbounded distinct attrs/tags must not grow a worker without limit
     CAP = 1_000_000
 
     def __init__(self):
@@ -142,7 +143,7 @@ class ExtractionStore:
 
     def __init__(self, config: AspectConfig, memo: Optional[StoreMemo] = None):
         self.config = config
-        # cross-document memos (a fresh set unless the owning actor shares
+        # cross-document memos (a fresh set unless the owning extractor shares
         # one): fresh per-doc stores would otherwise re-derive the same few
         # hundred entries for every document
         memo = memo if memo is not None else StoreMemo()

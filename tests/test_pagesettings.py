@@ -135,13 +135,24 @@ def test_new_page_type_via_json_extracts_end_to_end(tmp_path):
         del emit._NAME_INDEX["valve list"]
 
 
+#: retitles CONNECTION_LIST: no corpus page carries the new search name,
+#: so every connection-list page stops classifying -> fewer page objects
+RENAME_CONNECTION_LIST = json.dumps({
+    "CONNECTION_LIST": {
+        "tables": {"main": {"columns": {
+            "name": [True], "src_pin_tag": [True], "dst_pin_tag": [True],
+            "Color": [True], "Cross-section": [True],
+        }}},
+        "search_name": "Renamed connection list",
+    }
+})
+
+
 def test_page_settings_override_through_pipeline(ray_session, tmp_path):
     """--page-settings plumbing: a JSON override (here: CONNECTION_LIST's
-    search name) is applied inside the extraction actors, changing which
+    search name) is applied inside the extraction tasks, changing which
     pages classify — the driver's module state never propagates to workers,
-    so this exercises the actor-side registration."""
-    import json as _json
-
+    so this exercises the worker-side registration."""
     import ray.data
 
     from indu_doc_transformer_ray.fixtures import corpus_table
@@ -150,17 +161,55 @@ def test_page_settings_override_through_pipeline(ray_session, tmp_path):
     docs = ray.data.from_arrow(corpus_table(20, seed=11))
     base = extract_documents(docs).to_pandas()
 
-    # retitle CONNECTION_LIST: no corpus page carries the new search name,
-    # so every connection-list page stops classifying -> fewer page objects
-    override = _json.dumps({
-        "CONNECTION_LIST": {
-            "tables": {"main": {"columns": {
-                "name": [True], "src_pin_tag": [True], "dst_pin_tag": [True],
-                "Color": [True], "Cross-section": [True],
-            }}},
-            "search_name": "Renamed connection list",
-        }
-    })
     docs2 = ray.data.from_arrow(corpus_table(20, seed=11))
-    changed = extract_documents(docs2, page_settings_json=override).to_pandas()
+    changed = extract_documents(
+        docs2, page_settings_json=RENAME_CONNECTION_LIST
+    ).to_pandas()
     assert changed["n_page_objects"].sum() < base["n_page_objects"].sum()
+
+
+def test_page_settings_override_ends_with_its_batch():
+    """The stage function keeps one warm extractor per process and Ray
+    reuses processes across jobs: a batch run without an override after
+    one run with it must see the shipped page specs again."""
+    from indu_doc_transformer_ray.fixtures import corpus_table
+    from indu_doc_transformer_ray.pipelines.extract import extract_batch
+
+    batch = corpus_table(20, seed=11)
+    records = default_config.to_records()
+    try:
+        base = extract_batch(batch, records, None, None)
+        changed = extract_batch(batch, records, RENAME_CONNECTION_LIST, None)
+        after = extract_batch(batch, records, None, None)
+    finally:
+        emit.use_page_settings(None)
+    assert not changed.equals(base)  # the override took effect
+    assert after.equals(base)
+    assert PAGE_SPECS == page_specs_from_settings(default_page_settings())
+
+
+def test_page_settings_override_ends_with_its_job(ray_session):
+    """The same through Ray: an overridden job, then a plain one on the
+    same (reused) worker processes.  Small batches spread both jobs over
+    every worker.  The plain job must equal the plain baseline."""
+    import ray.data
+
+    from indu_doc_transformer_ray.fixtures import corpus_table
+    from indu_doc_transformer_ray.pipelines.extract import extract_documents
+
+    corpus = corpus_table(20, seed=11)
+
+    def run(psj):
+        docs = ray.data.from_arrow(corpus).repartition(10)
+        rows = extract_documents(
+            docs, batch_size=2, page_settings_json=psj
+        ).take_all()
+        for r in rows:  # a doc's delta order follows its process's str hash
+            r["deltas"].sort(key=lambda d: (d["mkey"], d["payload"]))
+        return sorted(rows, key=lambda r: r["doc_id"])
+
+    base = run(None)
+    changed = run(RENAME_CONNECTION_LIST)
+    after = run(None)
+    assert changed != base  # the override took effect
+    assert after == base

@@ -157,3 +157,42 @@ def test_minipdf_rejects_out_of_subset():
         minipdf_page_dicts(
             b"%PDF-1.4\n1 0 obj\n<< /Filter /FlateDecode >>\nendobj\n"
         )
+
+
+def test_minipdf_fallback_logs_one_warning(monkeypatch, caplog):
+    """Without pymupdf the reader falls back to minipdf, whose character
+    widths are approximate: setting up a reader says so, once."""
+    import logging
+
+    from indu_doc_transformer_ray.sources import pdf
+
+    monkeypatch.setattr(pdf, "have_pymupdf", lambda: False)
+    with caplog.at_level(logging.WARNING, logger=pdf.__name__):
+        pdf.PdfToSpans()
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1, warnings
+    assert "minipdf" in warnings[0].getMessage()
+    assert "install pymupdf" in warnings[0].getMessage()
+
+
+def test_minipdf_compressed_pdf_names_the_file_and_pymupdf(
+    monkeypatch, tmp_path
+):
+    """A compressed PDF read by the minipdf fallback fails with the file
+    and an install hint, not minipdf's bare subset message."""
+    import pytest
+
+    from indu_doc_transformer_ray.sources import pdf
+
+    path = tmp_path / "compressed.pdf"
+    path.write_bytes(
+        b"%PDF-1.4\n1 0 obj\n<< /Filter /FlateDecode >>\nendobj\n"
+    )
+    monkeypatch.setattr(pdf, "have_pymupdf", lambda: False)
+    reader = pdf.PdfToSpans()
+    with pytest.raises(
+        ValueError,
+        match=r"compressed\.pdf: minipdf: compressed streams unsupported "
+        r".*install pymupdf",
+    ):
+        reader._page_dicts(str(path))

@@ -195,50 +195,65 @@ def test_shard_count_invariance(corpus_dir, tmp_path):
     )
 
 
-def test_run_extraction_refuses_single_cpu(tmp_path):
-    """At one CPU the extraction actor would hold the only CPU and the read
-    feeding it would never run: run_extraction must fail at once instead of
-    hanging.  Runs in its own Ray session."""
+def test_run_extraction_runs_on_one_cpu(tmp_path):
+    """The extraction stage is a task that holds a CPU only while it runs,
+    so a 1-CPU session finishes a two-shard job and its merge, with the
+    same merged objects as a 2-CPU session.  Each session runs in its own
+    process group, killed after 180 s."""
     import signal
     import subprocess
     import sys
     import textwrap
 
+    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
-    inp = str(tmp_path / "docs.parquet")
-    pq.write_table(corpus_table(4, seed=3), inp)
-    script = textwrap.dedent(f"""
-        import time
-        import ray
-        from indu_doc_transformer_ray.pipelines.runner import run_extraction
-        ray.init(address="local", num_cpus=1, include_dashboard=False,
-                 logging_level="ERROR")
-        t0 = time.monotonic()
-        try:
-            run_extraction({inp!r}, {str(tmp_path / "out")!r}, shards=1)
-        except RuntimeError as e:
-            print("REFUSED", round(time.monotonic() - t0, 3), e)
-        ray.shutdown()
-    """)
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for i in range(2):
+        pq.write_table(corpus_table(6, seed=3 + i), str(inp / f"{i}.parquet"))
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=root)
-    # own process group: a hang is killed together with its Ray processes
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, env=env, cwd=root,
-        start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=180)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        out, err = proc.communicate()
-    line = next((ln for ln in out.splitlines() if ln.startswith("REFUSED")), "")
-    assert line, out + err
-    assert float(line.split()[1]) < 5.0
-    assert "at least 2 CPUs" in line
-    assert not os.path.exists(tmp_path / "out")
+
+    def job(num_cpus: int) -> tuple[str, int]:
+        out = str(tmp_path / f"out{num_cpus}")
+        script = textwrap.dedent(f"""
+            import ray
+            from indu_doc_transformer_ray.pipelines.runner import (
+                run_extraction, run_merge)
+            ray.init(address="local", num_cpus={num_cpus},
+                     include_dashboard=False, logging_level="ERROR")
+            run_extraction({str(inp)!r}, {out!r}, shards=2)
+            print("MERGED", run_merge({out!r})["n_objects"])
+            ray.shutdown()
+        """)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env, cwd=root,
+            start_new_session=True,
+        )
+        try:
+            stdout, err = proc.communicate(timeout=180)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            stdout, err = proc.communicate()
+        line = next(
+            (ln for ln in stdout.splitlines() if ln.startswith("MERGED")), ""
+        )
+        assert line, f"{num_cpus} CPU(s): " + stdout + err
+        return out, int(line.split()[1])
+
+    def objects(out: str) -> list[tuple[str, str]]:
+        t = pads.dataset(os.path.join(out, "objects")).to_table(
+            columns=["mkey", "payload"]
+        )
+        return sorted(zip(t["mkey"].to_pylist(), t["payload"].to_pylist()))
+
+    out1, n1 = job(1)
+    out2, n2 = job(2)
+    assert n1 == n2 > 0
+    assert objects(out1) == objects(out2)
+    assert len(os.listdir(os.path.join(out1, "manifests"))) == 3
 
 
 def test_finished_job_releases_every_cpu(tmp_path):

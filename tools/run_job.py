@@ -30,7 +30,7 @@ def main() -> None:
         "--page-settings", default=None,
         help="JSON page-settings file overriding the shipped PAGE_SPECS "
              "(pagesettings.PageSettings shape); applied inside every "
-             "extraction actor",
+             "extraction worker process",
     )
     ap.add_argument(
         "--config", default=None,
