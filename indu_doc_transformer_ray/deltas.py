@@ -125,7 +125,7 @@ def store_to_deltas(store: ExtractionStore) -> list[tuple[str, str]]:
                 f"{TYPE_PRIORITY[t.target_type]}{US}{t.target_type}{US}{t.tag_str}",
             )
         )
-        for g in t.attr_guids:
+        for g in sorted(t.attr_guids):
             add((f"xtarget_attr{US}{t.guid}{US}{g}", ""))
     for asp in store.aspects.values():
         add(
@@ -134,7 +134,7 @@ def store_to_deltas(store: ExtractionStore) -> list[tuple[str, str]]:
                 f'{{"separator":{_esc(asp.separator)},"value":{_esc(asp.value)}}}',
             )
         )
-        for g in asp.attr_guids:
+        for g in sorted(asp.attr_guids):
             add((f"aspect_attr{US}{asp.guid}{US}{g}", ""))
     for l in store.links.values():
         add(
@@ -146,7 +146,7 @@ def store_to_deltas(store: ExtractionStore) -> list[tuple[str, str]]:
                 f',"src_pin_name":{_esc(l.src_pin_name)}}}',
             )
         )
-        for g in l.attr_guids:
+        for g in sorted(l.attr_guids):
             add((f"link_attr{US}{l.guid}{US}{g}", ""))
     for c in store.connections.values():
         add(

@@ -1,6 +1,6 @@
 """The flagship Ray Data extraction pipeline.
 
-    read (parquet/lance docs table)
+    read (parquet/lance docs table)                   # its own operator
       -> map_batches(extract_batch)                   # classify+footer+tables+emit
            ├─ span path:  select(doc_id, spans_out)   # per-doc, shuffle-free
            └─ delta path: explode + max fold -> GUID bucket -> max fold per bucket
@@ -24,6 +24,11 @@ Design points for 100 TB (SURVEY.md §3.4/§4):
   config, compiled separator regex, page-spec index, cross-document memos)
   across batches and jobs, rebuilt only when the config or page settings
   change (``extract_batch``).
+- Extraction is a task stage.  Ray Data fuses it with the map or write
+  that follows (the runner's checkpoint write) but not with the read,
+  because its ``batch_size`` blocks read -> map fusion.  The runner's
+  shard pipeline admits a task per free CPU from the start
+  (``runner.shard_stage``).
 """
 
 from __future__ import annotations
@@ -286,9 +291,10 @@ def extract_documents(
 ) -> Dataset:
     """docs(doc_id, spans) -> extracted(doc_id, spans, deltas, metrics).
 
-    A plain task stage (``extract_batch``), so Ray Data fuses read ->
-    extract -> write into one task on already-running workers: no actor
-    process to start per job, and no CPU held while a stage idles."""
+    A plain task stage (``extract_batch``) on already-running workers: no
+    actor process to start per job, and no CPU held while a stage idles.
+    Ray Data fuses it with what follows (the runner's checkpoint write),
+    not with the read: ``batch_size`` keeps the read its own operator."""
     return docs.map_batches(
         extract_batch,
         batch_format="pyarrow",

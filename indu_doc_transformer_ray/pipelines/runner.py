@@ -7,7 +7,9 @@ Ray Data gives task-level retry/lineage but no job-level checkpointing
   shard is a group of Lance/parquet fragments).  Each shard runs as its own
   streaming pipeline into ``out_dir/extracted/shard=K/`` and commits a
   manifest JSON recording lineage (exact input files), row/page/span/error
-  counts and wall time.  Writes go to a temp dir renamed into place, so a
+  counts and time: ``extract_s`` (read -> extract -> checkpoint write ->
+  stats), ``bucket_s`` (the shard's delta-bucket write) and their
+  ``wall_s``.  Writes go to a temp dir renamed into place, so a
   half-written shard is never mistaken for a finished one.
 - a re-run SKIPS every shard whose manifest is complete — kill the job at
   shard k, run again, and only shards >= k recompute (test-covered).
@@ -230,6 +232,40 @@ def _write_shard_delta_buckets(out_dir: str, shard: int, chars: int) -> None:
     os.rename(btmp, bdir)
 
 
+def shard_stage(
+    shard_files: list[str],
+    config: AspectConfig = default_config,
+    batch_size: int = BATCH_SIZE,
+    page_settings_json: "str | None" = None,
+    progress: "tuple | None" = None,
+) -> Dataset:
+    """One shard's read -> extraction pipeline, which ``run_extraction``
+    ends with the checkpoint write.
+
+    The stage admits a task per free CPU from the start.  Ray Data 2.49
+    fuses the extraction with the write but keeps the read its own
+    operator (``batch_size`` blocks read -> map fusion), and its
+    per-operator object-store reservation prices each task's output at
+    ``target_max_block_size`` (128 MiB) times the generator buffer until
+    one task of the operator has finished.  No operator's share of a small
+    store covers that, so only the executor's liveness rule started a task:
+    in a 2-CPU session with a 256 MiB store a one-file shard ran its
+    extraction tasks one after the other.  The fused extract -> write task
+    outputs one write-stats row, so this pipeline turns the reservation
+    off.  With the reservation off, Ray Data also caps the pipeline's
+    object-store use at 0.25 of the store instead of 0.5
+    (``DEFAULT_OBJECT_STORE_MEMORY_LIMIT_FRACTION_NO_RESERVATION``).  The
+    setting is on the context that ``read_parquet`` copied for this
+    pipeline alone, never on the global ``DataContext.get_current()``."""
+    extracted = extract_documents(
+        ray.data.read_parquet(shard_files), config=config,
+        batch_size=batch_size, page_settings_json=page_settings_json,
+        progress=progress,
+    )
+    extracted.context.op_resource_reservation_enabled = False
+    return extracted
+
+
 def run_extraction(
     input_path: str,
     out_dir: str,
@@ -245,10 +281,14 @@ def run_extraction(
     Shards execute as independent streaming pipelines; up to
     ``max_concurrent_shards`` (at most one per CPU) run concurrently, sharing
     the cluster under Ray's scheduler, while the shard stays the unit of
-    resume/failure isolation.  Each shard's read -> extract -> write is one
-    fused Ray Data task stage (``extract.extract_batch``): it holds a CPU
-    only while it runs, so any session size works, and a finished shard
-    leaves no CPU held.
+    resume/failure isolation.  Each shard is a read operator followed by
+    one task stage that fuses extraction (``extract.extract_batch``) with
+    the checkpoint write; the read stays its own operator, since the
+    stage's ``batch_size`` blocks read -> map fusion.  The stage admits a
+    task per free CPU from the start (``shard_stage`` turns Ray Data's
+    per-operator object-store reservation off for its pipeline).
+    A task holds a CPU only while it runs, so any session size works, and
+    a finished shard leaves no CPU held.
 
     ``on_event`` (optional) mirrors the reference's plugin event emitter
     (plugins/events.py:32-127): called with plain dicts of type
@@ -316,6 +356,9 @@ def run_extraction(
                     progress_actor.add.remote(k, m["n_docs"], m["n_pages"])
                 return ShardResult(k, True, m["n_docs"], m["n_pages"],
                                    m["n_spans_in"], m["n_errors"], m["wall_s"])
+        # wall_s: the whole recompute, stale-dir removal included;
+        # extract_s + bucket_s: its two phases
+        t0 = time.perf_counter()
         shard_dir = os.path.join(out_dir, "extracted", f"shard={k:05d}")
         tmp_dir = shard_dir + ".tmp"
         shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -324,22 +367,22 @@ def run_extraction(
         # regenerated below; a crash in between leaves them to run_merge)
         shutil.rmtree(_shard_bucket_dir(out_dir, k, chars), ignore_errors=True)
 
-        t0 = time.time()
-        ds = ray.data.read_parquet(shard_files)
-        extracted = extract_documents(
-            ds, config=config, batch_size=batch_size,
+        t_extract = time.perf_counter()
+        shard_stage(
+            shard_files, config=config, batch_size=batch_size,
             page_settings_json=page_settings_json,
             progress=(
                 (progress_actor, k) if progress_actor is not None else None
             ),
-        )
-        extracted.write_parquet(tmp_dir, **PQ_WRITE_KW)
+        ).write_parquet(tmp_dir, **PQ_WRITE_KW)
         stats = _shard_stats(tmp_dir)
         os.rename(tmp_dir, shard_dir)
+        t_bucket = time.perf_counter()
         # bucket this shard's deltas NOW (overlaps later shards' extraction;
         # the just-written checkpoint is page-cache warm)
         _write_shard_delta_buckets(out_dir, k, chars)
-        wall = time.time() - t0
+        t_end = time.perf_counter()
+        wall = t_end - t0
         manifest = {
             "shard": k,
             "complete": True,
@@ -350,6 +393,8 @@ def run_extraction(
             "n_errors": int(stats["errors"]),
             "n_page_objects": int(stats["page_objects"]),
             "bucket_chars": chars,
+            "extract_s": t_bucket - t_extract,
+            "bucket_s": t_end - t_bucket,
             "wall_s": wall,
         }
         with open(mpath + ".tmp", "w") as f:

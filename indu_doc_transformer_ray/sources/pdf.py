@@ -351,9 +351,11 @@ def _mini_unescape(s: str) -> str:
 
 def minipdf_page_dicts(data: bytes) -> list[dict]:
     """Parse uncompressed-subset PDF bytes into the backend-agnostic page
-    dicts ``page_to_span_dicts`` consumes (the rawdict shape).  Raises
-    ValueError on anything outside the subset (compressed streams, no
-    pages) so callers fall back loudly, never silently mis-read."""
+    dicts ``page_to_span_dicts`` consumes (the rawdict shape), in page-tree
+    order: the catalog's ``/Pages`` node, its ``/Kids`` depth first.
+    Raises ValueError on anything outside the subset (compressed streams,
+    no pages, a missing or cyclic page-tree entry) so callers fall back
+    loudly, never silently mis-read."""
     import re as _re
 
     objs: dict[int, bytes] = {
@@ -367,11 +369,26 @@ def minipdf_page_dicts(data: bytes) -> list[dict]:
     if b"/FlateDecode" in data or b"/Filter" in data:
         raise ValueError("minipdf: compressed streams unsupported")
 
+    def page_nums(num: int, seen: set[int]) -> list[int]:
+        body = objs.get(num)
+        if body is None or num in seen:
+            raise ValueError(f"minipdf: page tree entry {num} missing or cyclic")
+        seen.add(num)
+        if b"/Type /Pages" not in body:
+            if b"/Type /Page" not in body:
+                raise ValueError(f"minipdf: page tree entry {num} is no page")
+            return [num]
+        kids = _re.search(rb"/Kids\s*\[([^\]]*)\]", body)
+        refs = _re.findall(rb"(\d+)\s+0\s+R", kids.group(1)) if kids else []
+        return [p for k in refs for p in page_nums(int(k), seen)]
+
+    catalog = next((b for b in objs.values() if b"/Type /Catalog" in b), b"")
+    root = _re.search(rb"/Pages\s+(\d+)\s+0\s+R", catalog)
+    if not root:
+        raise ValueError("minipdf: no page tree")
     pages: list[dict] = []
-    for num in sorted(objs):
+    for num in page_nums(int(root.group(1)), set()):
         body = objs[num]
-        if b"/Type /Page" not in body or b"/Type /Pages" in body:
-            continue
         mb = _re.search(
             rb"/MediaBox \[([\d. ]+)\]", body
         ) or _re.search(rb"/MediaBox\[([\d. ]+)\]", body)

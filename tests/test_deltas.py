@@ -176,3 +176,35 @@ def test_decoder_types_all_null_column():
     store.connections["c0"] = ConnRec("c0", "s", "d", None)
     store.connections["c1"] = ConnRec("c1", None, "d", None)
     assert set(_decode_against_reference(store)) == {"connections"}
+
+
+def test_delta_order_does_not_follow_the_hash_seed():
+    """The per-document ``deltas`` lists are a function of the input only:
+    two processes with different string-hash seeds extract the same
+    documents into identical lists, compared unsorted."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent("""
+        import json
+        from indu_doc_transformer_ray.fixtures import corpus_table
+        from indu_doc_transformer_ray.pipelines.extract import DocumentExtractor
+        out = DocumentExtractor()(corpus_table(20, seed=5))
+        print(json.dumps(out.column("deltas").to_pylist()))
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def deltas(seed: str) -> list:
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=root, timeout=300,
+            env=dict(os.environ, PYTHONPATH=root, PYTHONHASHSEED=seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    first, second = deltas("1"), deltas("2")
+    assert any(len(doc) > 1 for doc in first)
+    assert first == second

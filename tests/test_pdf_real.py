@@ -128,3 +128,40 @@ def test_pdf_fixture_bytes_wellformed():
         off = int(lines[3 + i].split()[0])
         assert data[off:].startswith(b"%d 0 obj" % (i + 1)), i + 1
     assert data.rstrip().endswith(b"%%EOF")
+
+
+def _first_texts(pages: "list[dict]") -> "list[str]":
+    return [p["blocks"][0]["lines"][0]["spans"][0]["text"] for p in pages]
+
+
+def test_minipdf_pages_follow_kids_order():
+    """Pages come in the page tree's ``/Kids`` order, not in object-number
+    order: here the second-numbered page object is listed first."""
+    from indu_doc_transformer_ray.sources.pdf import minipdf_page_dicts
+
+    data = _pdf_bytes(
+        [[(100.0, 90.0, 24.0, "first")], [(100.0, 90.0, 24.0, "second")]]
+    )
+    assert _first_texts(minipdf_page_dicts(data)) == ["first", "second"]
+    # same byte length, so the xref offsets stay valid
+    swapped = data.replace(b"/Kids [3 0 R 5 0 R]", b"/Kids [5 0 R 3 0 R]")
+    assert swapped != data
+    assert _first_texts(minipdf_page_dicts(swapped)) == ["second", "first"]
+    # the catalog may break its /Pages reference across lines
+    split = swapped.replace(b"/Pages 2 0 R", b"/Pages\n2 0 R")
+    assert split != swapped
+    assert _first_texts(minipdf_page_dicts(split)) == ["second", "first"]
+
+
+def test_minipdf_missing_kid_raises():
+    import pytest
+
+    from indu_doc_transformer_ray.sources.pdf import minipdf_page_dicts
+
+    data = _pdf_bytes(
+        [[(100.0, 90.0, 24.0, "first")], [(100.0, 90.0, 24.0, "second")]]
+    )
+    broken = data.replace(b"/Kids [3 0 R 5 0 R]", b"/Kids [3 0 R 9 0 R]")
+    assert broken != data
+    with pytest.raises(ValueError, match="minipdf: .*9"):
+        minipdf_page_dicts(broken)

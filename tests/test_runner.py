@@ -61,12 +61,24 @@ def test_run_and_resume(corpus_dir, tmp_path):
 
 
 def test_manifest_contents(corpus_dir, tmp_path):
+    """A shard manifest's counts, lineage and time: ``extract_s`` (read ->
+    extract -> checkpoint write -> stats) and ``bucket_s`` (delta-bucket
+    write) within ``wall_s``.  The job leaves the global DataContext as it
+    found it."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    reservation = ctx.op_resource_reservation_enabled
     out_dir = str(tmp_path / "out2")
     run_extraction(corpus_dir, out_dir, shards=2)
+    assert DataContext.get_current() is ctx
+    assert ctx.op_resource_reservation_enabled == reservation
     m = json.load(open(os.path.join(out_dir, "manifests", "shard-00000.json")))
     assert m["complete"] is True
     assert m["n_docs"] > 0 and m["n_pages"] > 0 and m["n_spans_in"] > 0
     assert m["wall_s"] > 0
+    assert m["extract_s"] > 0 and m["bucket_s"] > 0
+    assert m["extract_s"] + m["bucket_s"] <= m["wall_s"]
     assert all(os.path.exists(f) for f in m["input_files"])  # lineage
 
 
@@ -195,14 +207,36 @@ def test_shard_count_invariance(corpus_dir, tmp_path):
     )
 
 
+def _script_line(script: str, prefix: str, timeout: int) -> str:
+    """Run ``script`` in a fresh interpreter with the repo on its path and
+    return the rest of its first stdout line that starts with ``prefix``.
+    The interpreter runs in its own process group, so a hang is killed
+    together with its Ray processes after ``timeout`` seconds."""
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, cwd=root,
+        env=dict(os.environ, PYTHONPATH=root), start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+    line = next((ln for ln in out.splitlines() if ln.startswith(prefix)), "")
+    assert line, out + err
+    return line.removeprefix(prefix)
+
+
 def test_run_extraction_runs_on_one_cpu(tmp_path):
     """The extraction stage is a task that holds a CPU only while it runs,
     so a 1-CPU session finishes a two-shard job and its merge, with the
     same merged objects as a 2-CPU session.  Each session runs in its own
     process group, killed after 180 s."""
-    import signal
-    import subprocess
-    import sys
     import textwrap
 
     import pyarrow.dataset as pads
@@ -212,8 +246,6 @@ def test_run_extraction_runs_on_one_cpu(tmp_path):
     inp.mkdir()
     for i in range(2):
         pq.write_table(corpus_table(6, seed=3 + i), str(inp / f"{i}.parquet"))
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=root)
 
     def job(num_cpus: int) -> tuple[str, int]:
         out = str(tmp_path / f"out{num_cpus}")
@@ -227,21 +259,7 @@ def test_run_extraction_runs_on_one_cpu(tmp_path):
             print("MERGED", run_merge({out!r})["n_objects"])
             ray.shutdown()
         """)
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script], stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, env=env, cwd=root,
-            start_new_session=True,
-        )
-        try:
-            stdout, err = proc.communicate(timeout=180)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            stdout, err = proc.communicate()
-        line = next(
-            (ln for ln in stdout.splitlines() if ln.startswith("MERGED")), ""
-        )
-        assert line, f"{num_cpus} CPU(s): " + stdout + err
-        return out, int(line.split()[1])
+        return out, int(_script_line(script, "MERGED", 180))
 
     def objects(out: str) -> list[tuple[str, str]]:
         t = pads.dataset(os.path.join(out, "objects")).to_table(
@@ -256,15 +274,66 @@ def test_run_extraction_runs_on_one_cpu(tmp_path):
     assert len(os.listdir(os.path.join(out1, "manifests"))) == 3
 
 
+def test_extraction_stage_runs_a_task_per_cpu(tmp_path):
+    """A one-file shard's extraction stage runs its tasks side by side in a
+    2-CPU session with a 256 MiB object store, not one after the other.
+    The stage is the runner's ``shard_stage``, followed by a barrier that
+    waits (20 s at most) until a zero-CPU actor has seen a second worker
+    process; every batch must get past it.  Runs in its own process group,
+    killed after 180 s."""
+    import textwrap
+
+    import pyarrow.parquet as pq
+
+    inp = str(tmp_path / "docs.parquet")
+    pq.write_table(corpus_table(160, seed=3), inp)
+    script = textwrap.dedent(f"""
+        import json
+        import os
+        import time
+        import pyarrow as pa
+        import ray
+        import ray.data
+        from indu_doc_transformer_ray.pipelines.runner import shard_stage
+        ray.init(address="local", num_cpus=2,
+                 object_store_memory=256 * 2**20, include_dashboard=False,
+                 logging_level="ERROR")
+
+        @ray.remote(num_cpus=0)
+        class Pids:
+            def __init__(self):
+                self.pids = set()
+
+            def add(self, pid):
+                self.pids.add(pid)
+                return len(self.pids)
+
+        pids = Pids.options(name="pids").remote()
+
+        def barrier(batch):
+            actor = ray.get_actor("pids")
+            deadline = time.monotonic() + 20
+            seen = ray.get(actor.add.remote(os.getpid()))
+            while seen < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                seen = ray.get(actor.add.remote(os.getpid()))
+            return pa.table({{"met": [seen >= 2]}})
+
+        stage = shard_stage([{inp!r}])
+        met = stage.map_batches(barrier, batch_format="pyarrow").take_all()
+        print("MET", json.dumps([r["met"] for r in met]))
+        ray.shutdown()
+    """)
+    met = json.loads(_script_line(script, "MET", 180))
+    assert len(met) >= 2 and all(met), met
+
+
 def test_finished_job_releases_every_cpu(tmp_path):
-    """A finished run_extraction must hand back its actor pool's CPUs at
-    once, not when the driver's cyclic garbage collector next runs: a held
-    CPU starves the next shard and run_merge's fold tasks.  The automatic
-    collector is off in the job's driver, so only an explicit release frees
-    the pool.  Runs in its own 4-CPU Ray session."""
-    import signal
-    import subprocess
-    import sys
+    """A finished run_extraction holds no CPU: every CPU is free again
+    within 3 s, with the driver's automatic garbage collector off, so no
+    CPU waits for a collection to be released.  A held CPU would starve the
+    next shard and run_merge's fold tasks.  Runs in its own 4-CPU Ray
+    session."""
     import textwrap
 
     import pyarrow.parquet as pq
@@ -288,22 +357,7 @@ def test_finished_job_releases_every_cpu(tmp_path):
         print("FREE", ray.available_resources().get("CPU", 0), total)
         ray.shutdown()
     """)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=root)
-    # own process group: a hang is killed together with its Ray processes
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, env=env, cwd=root,
-        start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=240)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        out, err = proc.communicate()
-    line = next((ln for ln in out.splitlines() if ln.startswith("FREE")), "")
-    assert line, out + err
-    free, total = map(float, line.split()[1:])
+    free, total = map(float, _script_line(script, "FREE", 240).split())
     assert free == total, f"{total - free} of {total} CPUs still held"
 
 
