@@ -7,9 +7,10 @@ tables of interleaved text + media documents
 ``(doc_id: string, spans: list<struct<kind, text, media_ref, offset>>)``
 and re-expresses the reference's classification -> footer-merge ->
 table-reconstruction -> tag-parse -> object-emission semantics as
-``ray.data.Dataset`` pipelines: ``map_batches`` over zero-copy Arrow batches,
-actor pools for stateful stages, and ``groupby`` shuffles only for the
-object dedup/merge path (the per-document span equality surface never
+``ray.data.Dataset`` pipelines: one ``map_batches`` task stage over
+zero-copy Arrow batches, fused with the checkpoint write, and a
+shuffle-free object merge whose tasks fold GUID-prefix ranges of sorted
+per-shard delta files (the per-document span equality surface never
 shuffles).
 
 Layout:

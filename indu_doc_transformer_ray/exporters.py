@@ -210,14 +210,20 @@ def get_tree(
 # -- JSON export (S8) -------------------------------------------------------
 
 def export_json(tables: Tables) -> str:
+    """Stats + objects as JSON, each table's rows ordered by their
+    canonical JSON: the text does not follow the input row order."""
     def coerce(o):
         # numpy scalars/arrays appear when rows were decoded via pandas
         if hasattr(o, "tolist"):
             return o.tolist()
         return list(o)
 
+    def canon(row: dict) -> str:
+        return json.dumps(row, sort_keys=True, default=coerce)
+
+    objects = {name: sorted(rows, key=canon) for name, rows in tables.items()}
     return json.dumps(
-        {"stats": get_stats(tables), "objects": tables},
+        {"stats": get_stats(tables), "objects": objects},
         sort_keys=True, indent=1, default=coerce,
     )
 

@@ -12,9 +12,12 @@ extraction chain (page split -> layout classify -> footer extract ->
 table build -> emit -> store dedup -> GUID recipes -> distributed merge)
 becomes hash-MATCH replayable in SQL.
 
-The Ray side runs the REAL pipeline — ``pipelines.extract
-.extract_documents`` actor pool, then ``merge_deltas`` — over the
+The Ray side runs the REAL pipeline — the ``pipelines.extract
+.extract_documents`` task stage, then ``merge_deltas`` — over the
 synthesized span table; nothing here special-cases extraction semantics.
+(``runner.run_merge``, the job's merge, folds the same max-per-``mkey``
+kernel over bucket-key ranges of sorted per-shard delta files; the
+digests cover the fold, which both paths share.)
 The SQL side re-derives, from first principles (reference semantics:
 tag.py:178-224,340-400, god.py:255-396, footers_extractor.py:137-212,
 page_processor.py:142-176), what those semantics must produce for the

@@ -17,9 +17,10 @@ Design points for 100 TB (SURVEY.md §3.4/§4):
 - The ONLY cross-document step is the object merge: deltas are routed to
   one of ``16**c`` buckets by the first ``c = bucket_chars(n_docs)`` hex
   chars of their embedded GUID (16 buckets up to 2,048 documents, 256 up to
-  32,768), and each bucket is reduced by the same max-per-``mkey`` fold
-  (``_max_fold``) that pre-combines every batch — md5-derived keys are
-  uniform by construction, so no skew/salting needed (SURVEY.md §7.4).
+  32,768, at most ``16**MAX_BUCKET_CHARS``), and each bucket is reduced by
+  the same max-per-``mkey`` fold (``_max_fold``) that pre-combines every
+  batch — md5-derived keys are uniform by construction, so no skew/salting
+  needed (SURVEY.md §7.4).
 - Each worker process keeps one warm ``DocumentExtractor`` (parsed
   config, compiled separator regex, page-spec index, cross-document memos)
   across batches and jobs, rebuilt only when the config or page settings
@@ -312,15 +313,19 @@ def extract_documents(
 #: merge on the 512 files of each round.
 DOCS_PER_BUCKET = 128
 
+#: the widest merge bucket: the runner's delta files are keyed by this many
+#: GUID hex chars, so a fold at any width reads key ranges of them.
+MAX_BUCKET_CHARS = 4
+
 
 def bucket_chars(n_docs: int) -> int:
     """Merge bucket width for a corpus of ``n_docs`` documents: the
     smallest hex-char count ``c >= 1`` with ``16**c * DOCS_PER_BUCKET >=
-    n_docs``.  Callers compute it once on the driver and pass it on, so
-    Ray workers never read this module's globals; bucket dirs written at
-    one width are never folded with another's."""
+    n_docs``, at most ``MAX_BUCKET_CHARS``.  Callers compute it once on the
+    driver and pass it on, so Ray workers never read this module's
+    globals."""
     c = 1
-    while 16**c * DOCS_PER_BUCKET < n_docs:
+    while c < MAX_BUCKET_CHARS and 16**c * DOCS_PER_BUCKET < n_docs:
         c += 1
     return c
 
@@ -361,9 +366,9 @@ def merge_deltas(extracted: Dataset) -> Dataset:
     already is) so its document count sizes the width without running it
     twice.
 
-    The production path avoids even this exchange: the runner writes deltas
-    hash-partitioned by bucket at checkpoint time (a map-side partitioned
-    write — no all-to-all), then folds each bucket independently
+    The production path avoids even this exchange: the runner writes each
+    shard's deltas sorted by bucket key at checkpoint time (a map-side
+    write — no all-to-all), then folds ranges of buckets independently
     (runner.run_merge)."""
     extracted = extracted.materialize()
     chars = bucket_chars(extracted.count())

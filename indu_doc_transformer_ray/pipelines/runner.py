@@ -14,13 +14,12 @@ Ray Data gives task-level retry/lineage but no job-level checkpointing
 - a re-run SKIPS every shard whose manifest is complete — kill the job at
   shard k, run again, and only shards >= k recompute (test-covered).
 - the merge phase reads ONLY the ``deltas`` column of the checkpoint
-  (parquet column pruning), writes it hash-partitioned by a GUID-derived
-  bucket (map-side partitioning — no all-to-all exchange), and folds each
-  bucket independently into the merged object tables, with its own manifest.
-  The bucket width is ``extract.bucket_chars`` of the corpus's document
-  count and is part of the bucket-dir path
-  (``delta_buckets/chars=C/shard=K``), so dirs written at another width
-  are never folded: they are removed and rebuilt like missing ones.
+  (parquet column pruning) and writes it, per bucket task, as one file
+  sorted by a fixed-width GUID-prefix key (``delta_buckets/shard=K/
+  part-T.parquet``: map-side partitioning, no all-to-all exchange).  The
+  fold picks its bucket width (``extract.bucket_chars`` of the corpus's
+  document count) only when it reads: each fold task range-reads a block
+  of bucket prefixes from every shard's files, so no width is persisted.
 
 The span equality surface lives in the checkpoint itself: ``doc_id, spans``
 columns of ``extracted/`` — consumers column-prune them out for free.
@@ -32,6 +31,7 @@ import json
 import os
 import shutil
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import pyarrow as pa
@@ -42,8 +42,10 @@ import ray.data
 from ray.data import Dataset
 
 from ..core import AspectConfig, default_config
+from ..deltas import TABLE_NAMES
 from .extract import (
     BATCH_SIZE,
+    MAX_BUCKET_CHARS,
     _bucketize,
     _explode_deltas,
     _max_fold,
@@ -61,6 +63,11 @@ from .extract import (
 #: 0.7 MB @ 0.05 s vs 1.4 MB @ 0.08 s per 78-doc file) — less CPU in the
 #: write stage and fewer bytes for the fold phase to decode.
 PQ_WRITE_KW = {"compression": "zstd", "compression_level": 1}
+
+#: rows per row group of a delta file.  The file is sorted by its bucket
+#: key, so a row group spans a narrow key range and a fold task's range
+#: filter skips the row groups outside its block by min/max statistics.
+DELTA_ROW_GROUP_ROWS = 8192
 
 
 @dataclass
@@ -125,89 +132,72 @@ def _shard_stats(shard_dir: str) -> dict[str, int]:
     }
 
 
-def _bucket_root(out_dir: str, chars: int) -> str:
-    return os.path.join(out_dir, "delta_buckets", f"chars={chars}")
-
-
-def _shard_bucket_dir(out_dir: str, shard: int, chars: int) -> str:
-    return os.path.join(_bucket_root(out_dir, chars), f"shard={shard:05d}")
-
-
-def _drop_other_widths(out_dir: str, chars: int) -> None:
-    """Remove every ``delta_buckets`` entry but the ``chars=C`` tree: bucket
-    dirs of another width (or an older flat layout) must never be folded
-    with this width's, so they are rebuilt instead."""
-    root = os.path.join(out_dir, "delta_buckets")
-    if os.path.isdir(root):
-        for d in os.listdir(root):
-            if d != f"chars={chars}":
-                shutil.rmtree(os.path.join(root, d), ignore_errors=True)
+def _shard_bucket_dir(out_dir: str, shard: int) -> str:
+    return os.path.join(out_dir, "delta_buckets", f"shard={shard:05d}")
 
 
 @ray.remote
-def _bucket_task(files: list[str], btmp: str, task_id: int, chars: int) -> None:
-    """Explode + combine one group of checkpoint files and write the result
-    partitioned by the GUID-derived bucket — a single sort-then-slice pass
-    (NOT one filter scan per bucket), one file per (task, touched bucket)."""
+def _bucket_task(files: list[str], btmp: str, task_id: int) -> None:
+    """Explode + combine one group of checkpoint files into ONE delta file
+    sorted by ``bucket``, the first ``MAX_BUCKET_CHARS`` hex chars of the
+    GUID: a fold at any width reads its prefix range of that file."""
     combined = _max_fold(pa.concat_tables([
         _explode_deltas(pq.read_table(f, columns=["deltas"])) for f in files
     ]))
-    combined = _bucketize(combined, chars).sort_by("bucket")
-    vc = combined.column("bucket").combine_chunks().value_counts()
-    offset = 0
-    for i in range(len(vc)):
-        b = vc.field("values")[i].as_py()
-        cnt = vc.field("counts")[i].as_py()
-        sub = combined.slice(offset, cnt).select(["mkey", "payload"])
-        offset += cnt
-        d = os.path.join(btmp, f"bucket={b}")
-        os.makedirs(d, exist_ok=True)
-        pq.write_table(
-            sub, os.path.join(d, f"part-{task_id:04d}.parquet"), **PQ_WRITE_KW
-        )
-
-
-def _read_bucket_dirs(dirs: list[str]) -> pa.Table:
-    """One bucket's combined deltas, spread over one partition dir per
-    shard (``_write_shard_delta_buckets`` layout)."""
-    import pyarrow.dataset as pads
-
-    return pa.concat_tables([
-        pads.dataset(d).to_table(columns=["mkey", "payload"]) for d in dirs
-    ])
+    pq.write_table(
+        _bucketize(combined, MAX_BUCKET_CHARS).sort_by("bucket"),
+        os.path.join(btmp, f"part-{task_id:04d}.parquet"),
+        row_group_size=DELTA_ROW_GROUP_ROWS, **PQ_WRITE_KW,
+    )
 
 
 @ray.remote
-def _fold_bucket_group(pairs: list) -> list[int]:
-    """Fold SEVERAL (bucket_dirs, dest_file) pairs in one task: buckets stay
-    the unit of merge correctness/resume, but one Ray task per bucket makes
-    the fold phase dispatch-bound when bucket count >> CPUs (256 tasks of
-    ~50ms each serialize under a degraded scheduler).  Grouping keeps
-    task count ~2x CPUs with identical outputs.  Returns the object rows
-    written per bucket, in ``pairs`` order."""
-    rows = []
-    for bucket_dirs, dest_file in pairs:
-        out = _tag_table_name(_max_fold(_read_bucket_dirs(bucket_dirs)))
-        pq.write_table(out, dest_file, **PQ_WRITE_KW)
-        rows.append(out.num_rows)
-    return rows
+def _fold_bucket_group(
+    files: list[str], lo: str, hi: "str | None", chars: int, dest_dir: str
+) -> tuple[list[int], dict[str, int]]:
+    """Fold the ``chars``-wide buckets with keys in ``[lo, hi)`` (None: no
+    upper bound) from every shard's delta ``files``: one range-filtered
+    read (row-group statistics skip the rest of each sorted file), one max
+    fold, then one objects file per bucket, tagged with its table name.
+    Returns the rows written per bucket (in bucket order) and per table."""
+    import pyarrow.dataset as pads
+
+    in_block = pc.field("bucket") >= lo
+    if hi is not None:
+        in_block &= pc.field("bucket") < hi
+    folded = pads.dataset(files).to_table(
+        columns=["mkey", "payload"], filter=in_block
+    )
+    folded = _tag_table_name(_bucketize(_max_fold(folded), chars))
+    folded = folded.sort_by("bucket")
+    bucket_rows, offset = [], 0
+    for vc in pc.value_counts(folded["bucket"]).to_pylist():
+        n = vc["counts"]
+        pq.write_table(
+            folded.slice(offset, n).select(["mkey", "payload", "table_name"]),
+            os.path.join(dest_dir, f"bucket={vc['values']}.parquet"),
+            **PQ_WRITE_KW,
+        )
+        bucket_rows.append(n)
+        offset += n
+    per_table = pc.value_counts(folded["table_name"]).to_pylist()
+    return bucket_rows, {vc["values"]: vc["counts"] for vc in per_table}
 
 
-def _write_shard_delta_buckets(out_dir: str, shard: int, chars: int) -> None:
+def _write_shard_delta_buckets(out_dir: str, shard: int) -> None:
     """Merge phase 2a, PER SHARD: read only the just-written checkpoint's
     ``deltas`` column, explode + combine (vectorized Arrow group_by max),
-    write hash-partitioned by the GUID-derived bucket.  Runs inside
-    ``run_shard`` right after the checkpoint commit, so the bucketing of
-    shard K overlaps the still-running extraction of shards K+1.. — the
+    and write one delta file per bucket task, sorted by bucket key.  Runs
+    inside ``run_shard`` right after the checkpoint commit, so the bucketing
+    of shard K overlaps the still-running extraction of shards K+1.. — the
     merge phase then only folds.  Plain Ray tasks over checkpoint-file
     groups (a per-shard Dataset pipeline here cost ~1s of executor startup
     × shards, round-3 regression finding).  Idempotent (tmp dir + atomic
-    rename); ``run_merge`` regenerates any shard whose bucket dir at its
-    width ``chars`` is missing (crash between checkpoint and bucket
-    commit, or a width change)."""
+    rename); ``run_merge`` regenerates any shard whose bucket dir is
+    missing (a crash between checkpoint and bucket commit)."""
     import ray
 
-    bdir = _shard_bucket_dir(out_dir, shard, chars)
+    bdir = _shard_bucket_dir(out_dir, shard)
     if os.path.isdir(bdir):
         return
     btmp = bdir + ".tmp"
@@ -220,12 +210,12 @@ def _write_shard_delta_buckets(out_dir: str, shard: int, chars: int) -> None:
         if f.endswith(".parquet")
     )
     ncpu = session_cpus()
-    # few, larger groups per shard: files written = groups x touched
-    # buckets, and 8 concurrent shards still keep ~ncpu bucket tasks live
+    # few, larger groups per shard: one delta file per group, and 8
+    # concurrent shards still keep ~ncpu bucket tasks live
     nb = min(len(files), max(2, ncpu // 8)) or 1
     groups = [files[i::nb] for i in range(nb)]
     ray.get([
-        _bucket_task.remote(g, btmp, i, chars)
+        _bucket_task.remote(g, btmp, i)
         for i, g in enumerate(groups)
         if g
     ])
@@ -310,23 +300,17 @@ def run_extraction(
         raise FileNotFoundError(f"no parquet inputs under {input_path}")
     shards = min(shards, len(files))
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-    # one merge width for the whole corpus, from the parquet footers; it
-    # travels to the bucket tasks as an argument
-    total_docs = sum(pq.read_metadata(f).num_rows for f in files)
-    chars = bucket_chars(total_docs)
-    _drop_other_widths(out_dir, chars)
 
     # purge orphans from a previous run with MORE shards: their dirs would
-    # otherwise feed stale rows into the merge (which reads extracted/ whole)
-    for ex_dir in (os.path.join(out_dir, "extracted"),
-                   _bucket_root(out_dir, chars)):
-        if os.path.isdir(ex_dir):
-            for d in os.listdir(ex_dir):
-                if d.startswith("shard="):
-                    k = int(d.split("=")[1].split(".")[0])
-                    if k >= shards:
-                        shutil.rmtree(os.path.join(ex_dir, d),
-                                      ignore_errors=True)
+    # otherwise feed stale rows into the readers of extracted/ (which read
+    # it whole); run_merge drops their delta files
+    ex_dir = os.path.join(out_dir, "extracted")
+    if os.path.isdir(ex_dir):
+        for d in os.listdir(ex_dir):
+            if d.startswith("shard="):
+                k = int(d.split("=")[1].split(".")[0])
+                if k >= shards:
+                    shutil.rmtree(os.path.join(ex_dir, d), ignore_errors=True)
     man_dir = os.path.join(out_dir, "manifests")
     for f in os.listdir(man_dir):
         if f.startswith("shard-") and f.endswith(".json"):
@@ -341,6 +325,7 @@ def run_extraction(
     progress_actor = None
     if on_event is not None:
         progress_actor = _ProgressActor.remote()
+        total_docs = sum(pq.read_metadata(f).num_rows for f in files)
 
     def run_shard(k: int) -> ShardResult:
         mpath = _manifest_path(out_dir, k)
@@ -365,7 +350,7 @@ def run_extraction(
         shutil.rmtree(shard_dir, ignore_errors=True)
         # a recompute invalidates the shard's delta buckets too (they are
         # regenerated below; a crash in between leaves them to run_merge)
-        shutil.rmtree(_shard_bucket_dir(out_dir, k, chars), ignore_errors=True)
+        shutil.rmtree(_shard_bucket_dir(out_dir, k), ignore_errors=True)
 
         t_extract = time.perf_counter()
         shard_stage(
@@ -380,7 +365,7 @@ def run_extraction(
         t_bucket = time.perf_counter()
         # bucket this shard's deltas NOW (overlaps later shards' extraction;
         # the just-written checkpoint is page-cache warm)
-        _write_shard_delta_buckets(out_dir, k, chars)
+        _write_shard_delta_buckets(out_dir, k)
         t_end = time.perf_counter()
         wall = t_end - t0
         manifest = {
@@ -392,7 +377,6 @@ def run_extraction(
             "n_spans_in": int(stats["spans"]),
             "n_errors": int(stats["errors"]),
             "n_page_objects": int(stats["page_objects"]),
-            "bucket_chars": chars,
             "extract_s": t_bucket - t_extract,
             "bucket_s": t_end - t_bucket,
             "wall_s": wall,
@@ -469,8 +453,9 @@ def run_extraction(
 
 
 def _shard_fingerprint(out_dir: str) -> str:
-    """Digest over every shard manifest's lineage + counts: the merge skips
-    only when the extraction it folded is bit-for-bit the current one."""
+    """Digest over every shard manifest's lineage + the counts the merge
+    reads: the merge skips only when the extraction it folded is
+    bit-for-bit the current one."""
     import hashlib
 
     man_dir = os.path.join(out_dir, "manifests")
@@ -480,7 +465,8 @@ def _shard_fingerprint(out_dir: str) -> str:
             m = json.load(open(os.path.join(man_dir, f)))
             parts.append(json.dumps(
                 [f, m.get("input_files"), m.get("n_docs"),
-                 m.get("n_spans_in")], sort_keys=True))
+                 m.get("n_spans_in"), m.get("n_page_objects"),
+                 m.get("n_errors")], sort_keys=True))
     return hashlib.md5("\n".join(parts).encode()).hexdigest()
 
 
@@ -489,22 +475,23 @@ def run_merge(out_dir: str) -> dict:
 
     2a. Map-side partitioning happens PER SHARD during extraction
         (``_write_shard_delta_buckets``: read only the checkpoint's
-        ``deltas`` column, explode + batch-combine, write hash-partitioned
-        by the GUID-derived bucket) — so by the time the merge runs, most
-        of 2a has already overlapped the extraction phase.  Here we only
-        regenerate shards whose bucket dir at the merge width is missing:
-        a crash between the checkpoint commit and the bucket commit, or a
-        width change (a corpus that grew past a ``bucket_chars`` boundary
-        while its old shards were skipped).
-    2b. Per-bucket fold: each bucket B is read ACROSS shard dirs by one Ray
-        task that runs the same max fold, tags table names, and writes its
-        objects file.  Buckets are uniform (md5 prefix), so no skew.  The
-        width is ``bucket_chars`` of the shard manifests' summed ``n_docs``
-        (16 buckets up to 2,048 documents, 256 up to 32,768); those counts
-        are in the shard fingerprint, so the fingerprint fixes the width.
+        ``deltas`` column, explode + batch-combine, write one file per
+        bucket task sorted by GUID-prefix key) — so by the time the merge
+        runs, most of 2a has already overlapped the extraction phase.
+        Here we only regenerate shards whose bucket dir is missing (a
+        crash between the checkpoint commit and the bucket commit) and
+        remove everything else under ``delta_buckets/`` (orphan shards,
+        an older layout).
+    2b. Range fold: the width is ``bucket_chars`` of the manifests' summed
+        ``n_docs``, chosen here and nowhere persisted.  Each Ray task folds
+        one block of contiguous buckets from every shard's files into one
+        objects file per bucket.  Buckets are uniform (md5 prefix), so no
+        skew; blocks keep the task count near 2x CPUs (one task per bucket
+        is dispatch-bound at hundreds of buckets).
 
-    ``merge.json`` records the width, the bucket count and the per-bucket
-    object rows (max and median: the fold's skew).  Doc-scoped
+    ``merge.json`` records the width, the bucket count, the per-bucket
+    object rows (max and median: the fold's skew) and ``table_rows``, the
+    rows per output table (summing to ``n_objects``).  Doc-scoped
     page_objects/errors stay as checkpoint columns: already persisted
     columnar + sharded, consumers flatten them lazily (object_table) —
     rewriting them would be a second copy of the data."""
@@ -519,61 +506,58 @@ def run_merge(out_dir: str) -> dict:
         if f.startswith("shard-") and f.endswith(".json")
     }
     shard_ids = sorted(manifests)
-    chars = bucket_chars(sum(m["n_docs"] for m in manifests.values()))
     fingerprint = _shard_fingerprint(out_dir)
     if os.path.exists(mpath):
         m = json.load(open(mpath))
-        # a merge is only reusable for the exact shard set and width it
-        # folded — re-extracted shards (incremental ingest) invalidate it
-        if (m.get("complete") and m.get("shard_fingerprint") == fingerprint
-                and m.get("bucket_chars") == chars):
+        # a merge is only reusable for the exact shard set it folded —
+        # re-extracted shards (incremental ingest) invalidate it
+        if m.get("complete") and m.get("shard_fingerprint") == fingerprint:
             return m
     t0 = time.time()
 
-    # 2a catch-up: every manifested shard gets its bucket dir at this width
-    _drop_other_widths(out_dir, chars)
+    # 2a catch-up: every manifested shard gets its delta files, and
+    # nothing else under delta_buckets/ is kept
+    broot = os.path.join(out_dir, "delta_buckets")
+    keep = {os.path.basename(_shard_bucket_dir(out_dir, k)) for k in shard_ids}
+    for d in set(os.listdir(broot) if os.path.isdir(broot) else ()) - keep:
+        shutil.rmtree(os.path.join(broot, d), ignore_errors=True)
+    files = []
     for k in shard_ids:
-        _write_shard_delta_buckets(out_dir, k, chars)
+        _write_shard_delta_buckets(out_dir, k)
+        bdir = _shard_bucket_dir(out_dir, k)
+        files += [os.path.join(bdir, f) for f in sorted(os.listdir(bdir))]
 
-    # 2b: independent per-bucket folds across shard dirs (raw tasks: a
-    # deterministic partitioned fold the Dataset API has no shuffle-free
-    # primitive for)
+    # 2b: independent range folds (raw tasks: a deterministic partitioned
+    # fold the Dataset API has no shuffle-free primitive for)
     obj_dir = os.path.join(out_dir, "objects")
     tmp_dir = obj_dir + ".tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
     shutil.rmtree(obj_dir, ignore_errors=True)
     os.makedirs(tmp_dir, exist_ok=True)
-    shard_dirs = [_shard_bucket_dir(out_dir, k, chars) for k in shard_ids]
-    bucket_names = sorted({
-        d for sd in shard_dirs for d in os.listdir(sd) if d.startswith("bucket=")
-    })
-    pairs = []
-    for b in bucket_names:
-        dirs = [
-            os.path.join(sd, b) for sd in shard_dirs
-            if os.path.isdir(os.path.join(sd, b))
-        ]
-        pairs.append((dirs, os.path.join(tmp_dir, f"{b}.parquet")))
-    # group buckets into ~2x-CPU tasks: the fold is dispatch-bound at one
-    # task per bucket (256 x ~50ms dispatch serializes on a busy scheduler)
-    ncpu = session_cpus()
-    n_tasks = min(len(pairs), max(1, ncpu * 2))
-    groups = [pairs[i::n_tasks] for i in range(n_tasks)]
+    chars = bucket_chars(sum(m["n_docs"] for m in manifests.values()))
+    prefixes = [f"{i:0{chars}x}" for i in range(16**chars)]
+    n_tasks = min(len(prefixes), 2 * session_cpus())
+    starts = [prefixes[i * len(prefixes) // n_tasks] for i in range(1, n_tasks)]
+    # open-ended first and last blocks: every key lands in exactly one
+    blocks = zip([""] + starts, starts + [None]) if files else ()
     # each fold is independent; a failed run just re-runs
-    bucket_rows = [
-        n for rows in ray.get([_fold_bucket_group.remote(g) for g in groups])
-        for n in rows
-    ]
+    folds = ray.get([
+        _fold_bucket_group.remote(files, lo, hi, chars, tmp_dir)
+        for lo, hi in blocks
+    ])
     os.rename(tmp_dir, obj_dir)
 
-    # merged entities + doc-scoped counts from the shard manifests
-    local_rows = sum(
-        m.get("n_errors", 0) + m.get("n_page_objects", 0)
-        for m in manifests.values()
-    )
+    bucket_rows = [n for rows, _per_table in folds for n in rows]
+    counts = Counter()
+    for _rows, per_table in folds:
+        counts.update(per_table)
+    for m in manifests.values():
+        counts.update(page_objects=m["n_page_objects"], errors=m["n_errors"])
+    table_rows = {name: counts[name] for name in TABLE_NAMES}
     manifest = {
         "complete": True,
-        "n_objects": int(sum(bucket_rows) + local_rows),
+        "n_objects": sum(table_rows.values()),
+        "table_rows": table_rows,
         "bucket_chars": chars,
         "n_buckets": len(bucket_rows),
         "bucket_rows_max": max(bucket_rows, default=0),

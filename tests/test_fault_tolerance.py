@@ -180,79 +180,69 @@ def test_merge_fold_survives_mid_fold_kill(ray_session, tmp_path):
     # -- (c) killed mid-2a: one shard's bucket dir gone, partial .tmp -----
     os.remove(man)
     shutil.rmtree(obj_dir)
-    import json
-
     from indu_doc_transformer_ray.pipelines.runner import _shard_bucket_dir
 
-    chars = json.load(open(os.path.join(
-        out_dir, "manifests", "shard-00001.json")))["bucket_chars"]
-    bdir = _shard_bucket_dir(out_dir, 1, chars)
+    bdir = _shard_bucket_dir(out_dir, 1)
     btmp = bdir + ".tmp"
     os.rename(bdir, btmp)  # simulate: rename never happened
-    # and drop half the partial's bucket dirs (write was mid-flight)
-    buckets = sorted(os.listdir(btmp))
-    for b in buckets[: len(buckets) // 2]:
-        shutil.rmtree(os.path.join(btmp, b))
+    # and drop half the partial's part files (write was mid-flight)
+    parts = sorted(os.listdir(btmp))
+    for f in parts[: max(1, len(parts) // 2)]:
+        os.remove(os.path.join(btmp, f))
     run_merge(out_dir)
     assert snapshot() == reference
-    # the rebuilt shard's buckets and the surviving shard's share one
-    # width, so no mkey lands in two objects files
+    assert not os.path.exists(btmp)
+    # the rebuilt shard's delta files and the surviving shard's are folded
+    # in the same ranges, so no mkey lands in two objects files
     mkeys = pads.dataset(obj_dir).to_table(columns=["mkey"]).column("mkey")
     assert len(mkeys) == len(pc.unique(mkeys))
 
 
-def test_merge_width_change_rebuilds_stale_buckets(
-    ray_session, tmp_path, monkeypatch
-):
-    """Crash-matrix case for the corpus-derived bucket width: a corpus that
-    crosses a ``bucket_chars`` boundary re-extracts only its changed shard,
-    so the skipped shard's bucket dir was written at the OLD width.  The
-    merge must rebuild it at the new width — folding it next to the new
-    width's dirs would put one mkey in two buckets — and equal a clean
-    run at the new width."""
+def test_merge_drops_width_dir_layout(ray_session, tmp_path):
+    """An output dir written by the older width-in-path layout still holds
+    ``delta_buckets/chars=C/shard=K/bucket=B/`` trees.  The merge must
+    never fold them and must remove them; here the leftover tree holds
+    every real mkey with a payload that would win the max fold, so
+    folding it would show in the objects.  The merge equals a clean run."""
     import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
 
     from indu_doc_transformer_ray.fixtures import corpus_table
-    from indu_doc_transformer_ray.pipelines import extract
     from indu_doc_transformer_ray.pipelines.runner import (
         run_extraction,
         run_merge,
     )
 
     corpus_dir = str(tmp_path / "corpus")
-    out_dir = str(tmp_path / "out")
     ray.data.from_arrow(corpus_table(30, seed=77)).repartition(4).write_parquet(
         corpus_dir
     )
-    run_extraction(corpus_dir, out_dir, shards=2)
-    assert run_merge(out_dir)["bucket_chars"] == 1
 
-    # past the boundary (30 docs > 16 buckets x 1): shard 0 re-extracts at
-    # width 2, shard 1 is skipped with its width-1 bucket dir
-    monkeypatch.setattr(extract, "DOCS_PER_BUCKET", 1)
-    os.remove(os.path.join(out_dir, "manifests", "shard-00000.json"))
-    results = run_extraction(corpus_dir, out_dir, shards=2)
-    assert {r.shard: r.skipped for r in results} == {0: False, 1: True}
-    m = run_merge(out_dir)
-    assert m["bucket_chars"] == 2
-    buckets = os.path.join(out_dir, "delta_buckets")
-    assert os.listdir(buckets) == ["chars=2"]
-    assert sorted(os.listdir(os.path.join(buckets, "chars=2"))) == [
-        "shard=00000", "shard=00001"
-    ]
+    def rows(out):
+        t = pads.dataset(os.path.join(out, "objects")).to_table(
+            columns=["table_name", "mkey", "payload"]
+        )
+        return sorted(zip(*[c.to_pylist() for c in t.columns]))
 
     clean_dir = str(tmp_path / "clean")
     run_extraction(corpus_dir, clean_dir, shards=2)
     clean = run_merge(clean_dir)
 
-    def rows(out):
-        t = pads.dataset(os.path.join(out, "objects")).to_table(
-            columns=["mkey", "payload"]
-        )
-        return sorted(zip(t.column("mkey").to_pylist(),
-                          t.column("payload").to_pylist()))
-
+    out_dir = str(tmp_path / "out")
+    run_extraction(corpus_dir, out_dir, shards=2)
+    mkeys = [mkey for _t, mkey, _p in rows(clean_dir)]
+    stale = os.path.join(out_dir, "delta_buckets", "chars=1", "shard=00000",
+                         "bucket=0")
+    os.makedirs(stale)
+    pq.write_table(
+        pa.table({"mkey": mkeys, "payload": ["~stale"] * len(mkeys)}),
+        os.path.join(stale, "part-0000.parquet"),
+    )
+    m = run_merge(out_dir)
+    assert sorted(os.listdir(os.path.join(out_dir, "delta_buckets"))) == [
+        "shard=00000", "shard=00001"
+    ]
     got = rows(out_dir)
-    assert len({k for k, _p in got}) == len(got)  # one row per mkey
+    assert len({mkey for _t, mkey, _p in got}) == len(got)  # one per mkey
     assert got == rows(clean_dir)
     assert m["n_objects"] == clean["n_objects"]

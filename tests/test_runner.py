@@ -363,7 +363,8 @@ def test_finished_job_releases_every_cpu(tmp_path):
 
 def test_bucket_chars_from_doc_count():
     """16 buckets up to 2,048 documents, 256 up to 32,768: the sf0.1
-    headline (20,000 documents) keeps its 256-bucket layout."""
+    headline (20,000 documents) keeps its 256-bucket layout.  The width
+    stops at the delta files' key width, ``MAX_BUCKET_CHARS``."""
     from indu_doc_transformer_ray.pipelines.extract import bucket_chars
 
     assert [bucket_chars(n) for n in (0, 1, 40, 160, 300, 2048)] == [1] * 6
@@ -371,79 +372,121 @@ def test_bucket_chars_from_doc_count():
     assert bucket_chars(20000) == 2
     assert bucket_chars(32768) == 2
     assert bucket_chars(32769) == 3
+    assert bucket_chars(10**9) == 4
+
+
+def _delta_files(out):
+    """delta_buckets/ as {relative path: (size, mtime_ns)}."""
+    root = os.path.join(out, "delta_buckets")
+    listing = {}
+    for d, _dirs, files in os.walk(root):
+        for f in files:
+            st = os.stat(os.path.join(d, f))
+            listing[os.path.relpath(os.path.join(d, f), root)] = (
+                st.st_size, st.st_mtime_ns)
+    return listing
 
 
 @pytest.fixture(scope="module")
-def two_widths(corpus_dir, tmp_path_factory):
-    """The 40-document corpus merged at its derived width (1 char) and,
-    with the driver-side ``DOCS_PER_BUCKET`` lowered, at 2 chars.  The
-    width reaches the bucket tasks as an argument, so the driver patch
-    is the whole override."""
+def widths(corpus_dir, tmp_path_factory):
+    """The 40-document corpus extracted ONCE and merged at its derived
+    width (1 char) and, with the driver-side ``DOCS_PER_BUCKET`` lowered,
+    at 2 and 3 chars.  merge.json is removed between merges, so each merge
+    is a fresh fold of the same delta files.  Per width: the merge
+    manifest, the sorted ``(table_name, mkey, payload)`` objects rows, the
+    objects files' row counts and the delta_buckets/ listing."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
     from indu_doc_transformer_ray.pipelines import extract
 
-    outs = {}
-    for chars, per_bucket in ((1, extract.DOCS_PER_BUCKET), (2, 2)):
-        out = str(tmp_path_factory.mktemp(f"width{chars}"))
+    out = str(tmp_path_factory.mktemp("widths"))
+    run_extraction(corpus_dir, out, shards=2)
+    merges = {}
+    for chars, per_bucket in ((1, extract.DOCS_PER_BUCKET), (2, 2), (3, 0.1)):
+        mpath = os.path.join(out, "manifests", "merge.json")
+        if os.path.exists(mpath):
+            os.remove(mpath)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(extract, "DOCS_PER_BUCKET", per_bucket)
-            run_extraction(corpus_dir, out, shards=2)
-            run_merge(out)
-        outs[chars] = out
-    return outs
+            m = run_merge(out)
+        obj_dir = os.path.join(out, "objects")
+        t = pads.dataset(obj_dir).to_table(
+            columns=["table_name", "mkey", "payload"])
+        merges[chars] = {
+            "manifest": m,
+            "rows": sorted(zip(*[c.to_pylist() for c in t.columns])),
+            "file_rows": [pq.read_metadata(os.path.join(obj_dir, f)).num_rows
+                          for f in os.listdir(obj_dir)],
+            "delta_files": _delta_files(out),
+        }
+    return out, merges
 
 
-def _merge_manifest(out):
-    return json.load(open(os.path.join(out, "manifests", "merge.json")))
+def test_merge_equal_across_widths(widths):
+    """One set of delta files serves every width: the three merges fold
+    the same files (none rewritten) into the same objects, and the width
+    is nowhere in the layout or the shard manifests."""
+    from indu_doc_transformer_ray.pipelines.extract import session_cpus
+
+    out, merges = widths
+    m = {c: merges[c]["manifest"] for c in merges}
+    assert [m[c]["bucket_chars"] for c in (1, 2, 3)] == [1, 2, 3]
+    assert m[1]["n_buckets"] == 16
+    assert 16 < m[2]["n_buckets"] <= 256 < m[3]["n_buckets"] <= 4096
+    assert m[1]["n_objects"] == m[2]["n_objects"] == m[3]["n_objects"]
+    rows = merges[1]["rows"]
+    assert rows == merges[2]["rows"] == merges[3]["rows"]
+    assert len({mkey for _t, mkey, _p in rows}) == len(rows)  # one per mkey
+
+    delta_files = merges[1]["delta_files"]
+    assert delta_files == merges[2]["delta_files"] == merges[3]["delta_files"]
+    assert delta_files == _delta_files(out)
+    # one delta file per bucket task: a shard's task count, at any width
+    per_shard = {}
+    for path in delta_files:
+        shard_dir, name = path.split(os.sep)
+        assert name.startswith("part-") and name.endswith(".parquet")
+        per_shard[shard_dir] = per_shard.get(shard_dir, 0) + 1
+    assert sorted(per_shard) == ["shard=00000", "shard=00001"]
+    assert max(per_shard.values()) <= max(2, session_cpus() // 8)
+    for k in (0, 1):
+        shard_m = json.load(open(
+            os.path.join(out, "manifests", f"shard-{k:05d}.json")))
+        assert "bucket_chars" not in shard_m
 
 
-def test_merge_equal_across_widths(two_widths):
-    import pyarrow.dataset as pads
-
-    def rows(out):
-        t = pads.dataset(os.path.join(out, "objects")).to_table(
-            columns=["mkey", "payload"]
-        )
-        return sorted(zip(t.column("mkey").to_pylist(),
-                          t.column("payload").to_pylist()))
-
-    m1, m2 = _merge_manifest(two_widths[1]), _merge_manifest(two_widths[2])
-    assert (m1["bucket_chars"], m2["bucket_chars"]) == (1, 2)
-    assert m1["n_buckets"] == 16 and m2["n_buckets"] > 16
-    assert m1["n_objects"] == m2["n_objects"]
-    r1 = rows(two_widths[1])
-    assert r1 == rows(two_widths[2])
-    assert len({m for m, _p in r1}) == len(r1)  # one row per mkey
-    for chars, out in two_widths.items():
-        # each shard manifest records the width its buckets were written at
-        for k in (0, 1):
-            shard_m = json.load(open(
-                os.path.join(out, "manifests", f"shard-{k:05d}.json")))
-            assert shard_m["bucket_chars"] == chars
-        assert os.listdir(os.path.join(out, "delta_buckets")) == [
-            f"chars={chars}"
-        ]
-
-
-def test_merge_manifest_per_bucket_rows(two_widths):
+def test_merge_manifest_per_bucket_rows(widths):
     """merge.json's per-bucket object rows describe the objects/ files:
     they sum to the objects/ row count, and max/median are the files'."""
     import statistics
 
-    import pyarrow.parquet as pq
-
-    for out in two_widths.values():
-        m = _merge_manifest(out)
-        obj_dir = os.path.join(out, "objects")
-        per_file = [
-            pq.read_metadata(os.path.join(obj_dir, f)).num_rows
-            for f in os.listdir(obj_dir)
-        ]
-        local = 0
-        for k in (0, 1):
-            shard_m = json.load(open(
-                os.path.join(out, "manifests", f"shard-{k:05d}.json")))
-            local += shard_m["n_errors"] + shard_m["n_page_objects"]
+    out, merges = widths
+    local = 0
+    for k in (0, 1):
+        shard_m = json.load(open(
+            os.path.join(out, "manifests", f"shard-{k:05d}.json")))
+        local += shard_m["n_errors"] + shard_m["n_page_objects"]
+    for merge in merges.values():
+        m, per_file = merge["manifest"], merge["file_rows"]
         assert m["n_buckets"] == len(per_file)
         assert m["n_objects"] - local == sum(per_file)
         assert m["bucket_rows_max"] == max(per_file)
         assert m["bucket_rows_median"] == statistics.median(per_file)
+
+
+def test_merge_manifest_table_rows(widths):
+    """merge.json's ``table_rows`` counts every output table as
+    ``object_table`` reads it, sums to ``n_objects`` and is the same at
+    every width."""
+    from indu_doc_transformer_ray.deltas import TABLE_NAMES
+
+    out, merges = widths
+    table_rows = merges[3]["manifest"]["table_rows"]
+    assert list(table_rows) == list(TABLE_NAMES)
+    assert table_rows == {
+        name: object_table(out, name).count() for name in TABLE_NAMES
+    }
+    assert sum(table_rows.values()) == merges[3]["manifest"]["n_objects"]
+    assert all(merges[c]["manifest"]["table_rows"] == table_rows
+               for c in (1, 2))

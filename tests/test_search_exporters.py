@@ -278,3 +278,19 @@ def test_export_aml_ignores_row_order(tables):
     )
     same = got == want
     assert same, f"AML differs from character {first_diff}"
+
+
+def test_export_json_ignores_row_order(tables):
+    """The same tables in another row order export byte-identical JSON
+    (the rows of ``object_table`` follow task completion order)."""
+    import random
+
+    rng = random.Random(9)
+    shuffled = {}
+    for name, rows in tables.items():
+        rows = list(rows)
+        rng.shuffle(rows)
+        shuffled[name] = rows
+    # a plain bool: pytest's diff of two multi-MB strings takes minutes
+    same = export_json(shuffled) == export_json(tables)
+    assert same, "JSON export follows the input row order"

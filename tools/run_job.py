@@ -38,7 +38,8 @@ def main() -> None:
              " the reference's -c shape); default = the shipped separators",
     )
     ap.add_argument("--stats", action="store_true",
-                    help="print per-table object counts after the merge")
+                    help="print per-table object counts (merge.json's "
+                         "table_rows) after the merge")
     ap.add_argument("--progress", action="store_true",
                     help="print shard progress events to stderr")
     args = ap.parse_args()
@@ -94,11 +95,8 @@ def main() -> None:
     }
 
     if args.stats:
-        # per-table merged counts, computed distributed (filtered reads of
-        # the merged objects + lazily flattened doc-scoped columns)
-        summary["stats"] = {
-            name: object_table(args.out, name).count() for name in TABLE_NAMES
-        }
+        # per-table counts, recorded by the merge (no Ray job)
+        summary["stats"] = merge_manifest["table_rows"]
 
     if args.export:
         from indu_doc_transformer_ray import exporters
